@@ -1,6 +1,7 @@
 #include "net/hier_routing.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 #include <queue>
 #include <unordered_map>
@@ -106,7 +107,7 @@ void HierGraphTopology::buildLandmarks() {
 // ---------------------------------------------------------------------------
 
 void HierGraphTopology::growBall(NodeId lm, std::size_t entryCap, const NodeId* clusterBegin,
-                                 const NodeId* clusterEnd, NodeId stopAt) {
+                                 const NodeId* clusterEnd, std::vector<SpineTarget>* targets) {
   const int deg = adj_.degree;
   const NodeId* adj = adj_.adj.data();
   const double* weightOf = adj_.weightOfSlot.data();
@@ -123,16 +124,22 @@ void HierGraphTopology::growBall(NodeId lm, std::size_t entryCap, const NodeId* 
     return clusterBegin == nullptr || std::binary_search(clusterBegin, clusterEnd, v);
   };
 
-  using QEntry = std::pair<double, NodeId>;  // pops by (distance, node id)
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<QEntry>> queue;
+  // Min-heap on (distance, node id) in the reused heap_ storage.
+  const auto later = std::greater<QEntry>();
+  auto push = [&](double d, NodeId v) {
+    heap_.push_back({d, v});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  };
+  heap_.clear();
   touch(lm);
   dist_[lm] = 0.0;
-  queue.push({0.0, lm});
+  push(0.0, lm);
 
   const std::size_t firstEntry = ball_.size();
-  while (!queue.empty()) {
-    const auto [du, u] = queue.top();
-    queue.pop();
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const auto [du, u] = heap_.back();
+    heap_.pop_back();
     if (du > dist_[u]) continue;  // stale entry
     // The ball is a prefix of the deterministic pop order, so every
     // node's next hop toward the landmark (its parent, popped strictly
@@ -142,7 +149,17 @@ void HierGraphTopology::growBall(NodeId lm, std::size_t entryCap, const NodeId* 
     // prefix is the spine paths' job (buildBalls), never the prefix's.
     if (ball_.size() - firstEntry >= entryCap) break;
     ball_.push_back(BallEntry{u, dirToLm_[u]});
-    if (u == stopAt) break;
+    if (targets != nullptr) {
+      // Read a target's path at its pop, while the scratch still holds
+      // exactly what a search stopping there would have left.
+      const auto hit = std::find_if(targets->begin(), targets->end(),
+                                    [u](const SpineTarget& t) { return t.node == u; });
+      if (hit != targets->end()) {
+        *hit->path = backtrackPath(lm, u);
+        targets->erase(hit);
+        if (targets->empty()) break;
+      }
+    }
     for (int dir = 0; dir < deg; ++dir) {
       const NodeId v = adj[static_cast<std::size_t>(u) * deg + dir];
       if (v < 0) break;
@@ -168,7 +185,7 @@ void HierGraphTopology::growBall(NodeId lm, std::size_t entryCap, const NodeId* 
       int vd = 0;
       while (vAdj[vd] != u) ++vd;
       dirToLm_[v] = static_cast<std::int16_t>(vd);
-      if (strictly) queue.push({cand, v});
+      if (strictly) push(cand, v);
     }
   }
 }
@@ -193,9 +210,11 @@ void HierGraphTopology::buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
   // parent's cluster keeps the total work O(Σ|cluster|) = O(n · depth).
   // A cluster whose halves only meet outside it (internally
   // disconnected — common for the leftover half of a BFS bisection on
-  // expanders) falls back to the unique root-SPT tree path via the LCA:
-  // O(path length), never a graph search — a per-child whole-graph
-  // search here is what made construction quadratic at 100k nodes.
+  // expanders) leaves some children unreached. Up to kExactSpineMaxNodes
+  // they all share one unrestricted early-exit search from the parent's
+  // landmark; beyond it each takes the unique root-SPT tree path via the
+  // LCA: O(path length), never a graph search — whole-graph searches per
+  // parent are what would make construction quadratic at 100k nodes.
   const int tn = tree_->numNodes();
   std::vector<std::vector<std::int32_t>> kids(static_cast<std::size_t>(tn));
   for (int i = 0; i < tn; ++i)
@@ -217,38 +236,41 @@ void HierGraphTopology::buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
 
   const bool exactFallback = adj_.numNodes <= kExactSpineMaxNodes;
   const std::size_t unbounded = std::numeric_limits<std::size_t>::max();
-  std::vector<std::int32_t> missing;
+  std::vector<SpineTarget> missing;
   for (int p = 0; p < tn; ++p) {
     if (kids[static_cast<std::size_t>(p)].empty()) continue;
     const std::vector<NodeId>& mem = tree_->members(p);
+    const NodeId lm = landmark_[p];
     // A throwaway prefix: we only want the scratch arrays (dist/dir)
     // filled for the whole cluster, not ball entries.
     const std::size_t mark = ball_.size();
-    growBall(landmark_[p], unbounded, mem.data(), mem.data() + mem.size(), -1);
+    growBall(lm, unbounded, mem.data(), mem.data() + mem.size(), nullptr);
     ball_.resize(mark);
-    // Snapshot every reached child before any fallback search clobbers
-    // this cluster's scratch.
+    // Read every reached child before the fallback search clobbers this
+    // cluster's scratch.
     missing.clear();
     for (std::int32_t c : kids[static_cast<std::size_t>(p)]) {
       const NodeId target = landmark_[c];
+      std::vector<NodeId>& path = spine[static_cast<std::size_t>(c)];
       if (ver_[target] == epoch_ && dist_[target] < kInf)
-        spine[static_cast<std::size_t>(c)] = backtrackPath(landmark_[p], target);
+        path = backtrackPath(lm, target);
       else
-        missing.push_back(c);
+        missing.push_back(SpineTarget{target, &path});
     }
-    for (std::int32_t c : missing) {
-      const NodeId target = landmark_[c];
-      if (exactFallback) {
-        growBall(landmark_[p], unbounded, nullptr, nullptr, target);
-        ball_.resize(mark);
-        DIVA_CHECK_MSG(ver_[target] == epoch_ && dist_[target] < kInf,
-                       "no path from landmark " << landmark_[p] << " to landmark "
-                                                << target << " — graph '" << spec_->name
-                                                << "' is not connected");
-        spine[static_cast<std::size_t>(c)] = backtrackPath(landmark_[p], target);
-      } else {
-        spine[static_cast<std::size_t>(c)] = lcaPath(landmark_[p], target);
-      }
+    if (missing.empty()) continue;
+    if (exactFallback) {
+      // One unrestricted search serves every missing child. A search that
+      // stopped at one child's landmark would be a prefix of this one
+      // (same pop order, same tie-breaks), so reading each path at its
+      // landmark's pop yields exactly that search's path.
+      growBall(lm, unbounded, nullptr, nullptr, &missing);
+      ball_.resize(mark);
+      DIVA_CHECK_MSG(missing.empty(), "no path from landmark "
+                                          << lm << " to landmark " << missing.front().node
+                                          << " — graph '" << spec_->name
+                                          << "' is not connected");
+    } else {
+      for (const SpineTarget& t : missing) *t.path = lcaPath(lm, t.node);
     }
   }
 }
@@ -268,7 +290,7 @@ void HierGraphTopology::buildBalls() {
   // the connectivity check and as the LCA structure spine fallbacks use.
   DIVA_CHECK_MSG(tree_->parent(0) < 0, "routing tree root is not node 0");
   const std::size_t unbounded = std::numeric_limits<std::size_t>::max();
-  growBall(landmark_[0], unbounded, nullptr, nullptr, -1);
+  growBall(landmark_[0], unbounded, nullptr, nullptr, nullptr);
   // A reconfigured (allowIsolated) spec keeps retired, edgeless ids in the
   // node range; connectivity is required only of the attached nodes.
   std::size_t attached = static_cast<std::size_t>(n);
@@ -302,7 +324,7 @@ void HierGraphTopology::buildBalls() {
     const std::size_t cap = static_cast<std::size_t>(std::max(
         kBallMinEntries, kBallEntryFactor * static_cast<int>(tree_->members(i).size())));
     const std::size_t first = ball_.size();
-    growBall(lm, cap, nullptr, nullptr, -1);
+    growBall(lm, cap, nullptr, nullptr, nullptr);
     std::sort(ball_.begin() + static_cast<std::ptrdiff_t>(first), ball_.end(),
               [](const BallEntry& a, const BallEntry& b) { return a.node < b.node; });
     // Inject the spine path (parent's landmark → lm): nodes not already
@@ -333,6 +355,7 @@ void HierGraphTopology::buildBalls() {
   hop_ = {};
   dirToLm_ = {};
   ver_ = {};
+  heap_ = {};
 }
 
 std::size_t HierGraphTopology::routingBytes() const {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/graph_topology.hpp"
@@ -134,19 +135,31 @@ class HierGraphTopology final : public Topology {
 
   void buildLandmarks();
   void buildBalls();
-  /// One cluster-restricted Dijkstra per internal tree node, extracting
-  /// each child's shortest ℓ_parent → ℓ_child path into `spine`; an
-  /// internally disconnected cluster falls back to the root-SPT tree
-  /// path through the LCA (any simple path keeps routing live).
+  /// Extracts every child's spine path ℓ_parent → ℓ_child into `spine`,
+  /// one cluster-restricted Dijkstra per internal tree node. Children of
+  /// an internally disconnected cluster that this search cannot reach
+  /// get, up to kExactSpineMaxNodes, their exact shortest path from one
+  /// unrestricted search per parent (all of them as its targets); above
+  /// it, the root-SPT tree path through the LCA (any simple path keeps
+  /// routing live).
   void buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
                        const std::vector<NodeId>& sptParent,
                        const std::vector<std::uint32_t>& sptDepth);
+  /// A node an unrestricted spine search must reach (targets of one
+  /// search are distinct); its path from the search's source is written
+  /// to `*path` when it pops.
+  struct SpineTarget {
+    NodeId node;
+    std::vector<NodeId>* path;
+  };
   /// Bounded deterministic Dijkstra around `lm` appending pop-order
   /// entries to ball_. A non-null [clusterBegin, clusterEnd) (sorted)
-  /// restricts the search to those nodes; `stopAt` ≥ 0 ends the search
-  /// right after that node pops.
+  /// restricts the search to those nodes. With non-null `targets`, each
+  /// target's lm → node path is read off the scratch the moment it pops
+  /// (and the target erased); the search ends once the list is empty, so
+  /// targets left in it were never reached.
   void growBall(NodeId lm, std::size_t entryCap, const NodeId* clusterBegin,
-                const NodeId* clusterEnd, NodeId stopAt);
+                const NodeId* clusterEnd, std::vector<SpineTarget>* targets);
   /// Reads the last search's scratch: the src→dst path, both inclusive.
   std::vector<NodeId> backtrackPath(NodeId src, NodeId dst) const;
   /// Direction stored for `node` in `treeNode`'s ball, -1 at the landmark
@@ -166,11 +179,14 @@ class HierGraphTopology final : public Topology {
   std::vector<BallEntry> ball_;         ///< all balls, each sorted by node id
   std::vector<std::uint64_t> ballBegin_;  ///< per tree node; [i, i+1) slices ball_
 
-  // Dijkstra scratch, versioned so per-ball reset is O(1) not O(n).
+  // Dijkstra scratch, versioned so per-ball reset is O(1) not O(n), plus
+  // the priority-queue storage every search reuses. Construction only.
+  using QEntry = std::pair<double, NodeId>;  ///< pops by (distance, node id)
   std::vector<double> dist_;
   std::vector<std::uint32_t> hop_;
   std::vector<std::int16_t> dirToLm_;
   std::vector<std::uint32_t> ver_;
+  std::vector<QEntry> heap_;
   std::uint32_t epoch_ = 0;
 };
 

@@ -6,12 +6,17 @@
 // rebuilds, and strategy-level equivalence: the same race-free operation
 // sequence yields the same values on the dense and the hierarchical
 // machine, with protocol invariants intact at quiescence, including
-// under scripted link failures.
+// under scripted link failures. Golden route fingerprints pin the exact
+// spine fallback, and both routers must reject a disconnected graph.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <memory>
+#include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +25,7 @@
 #include "net/graph_topology.hpp"
 #include "net/hier_routing.hpp"
 #include "net/topology.hpp"
+#include "support/check.hpp"
 #include "support/rng.hpp"
 #include "workload/workload.hpp"
 
@@ -165,6 +171,114 @@ TEST(HierRouting, SparseStateIsFarSmallerThanDenseTables) {
       << big.totalBallEntries();
   EXPECT_LT(big.totalBallEntries() * 4, 2048ull * 2048ull)
       << "ball arena " << big.totalBallEntries() << " entries";
+}
+
+// ---------------------------------------------------------------------------
+// Golden fingerprints: the exact spine fallback, pinned route by route
+// ---------------------------------------------------------------------------
+
+std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// FNV-1a over the hop sequence of every ordered pair's route.
+std::uint64_t routeFingerprint(const net::Topology& topo) {
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
+  const int n = topo.numNodes();
+  for (NodeId a = 0; a < n; ++a) {
+    for (NodeId b = 0; b < n; ++b) {
+      const auto route = net::routeOf(topo, a, b);
+      hash = fnv1a(hash, route.size());
+      for (const net::Hop& h : route) {
+        hash = fnv1a(hash, static_cast<std::uint64_t>(h.link));
+        hash = fnv1a(hash, static_cast<std::uint64_t>(static_cast<std::uint32_t>(h.to)));
+      }
+    }
+  }
+  return hash;
+}
+
+/// Child clusters whose landmark a search from the parent's landmark,
+/// restricted to the parent's members, cannot reach. Their spine paths
+/// come from the exact whole-graph fallback (n ≤ kExactSpineMaxNodes).
+int unreachableChildLandmarks(const net::HierGraphTopology& topo) {
+  const net::GraphClusterTree& tree = topo.routingTree();
+  std::vector<std::vector<int>> kids(static_cast<std::size_t>(tree.numNodes()));
+  for (int c = 0; c < tree.numNodes(); ++c)
+    if (tree.parent(c) >= 0) kids[static_cast<std::size_t>(tree.parent(c))].push_back(c);
+  std::vector<char> seen(static_cast<std::size_t>(topo.numNodes()), 0);
+  int unreachable = 0;
+  for (int p = 0; p < tree.numNodes(); ++p) {
+    if (kids[static_cast<std::size_t>(p)].empty()) continue;
+    const std::vector<NodeId>& mem = tree.members(p);
+    std::fill(seen.begin(), seen.end(), 0);
+    std::queue<NodeId> q;
+    seen[static_cast<std::size_t>(topo.landmarkOf(p))] = 1;
+    q.push(topo.landmarkOf(p));
+    while (!q.empty()) {
+      const NodeId u = q.front();
+      q.pop();
+      for (int dir = 0; dir < topo.degree(); ++dir) {
+        const NodeId v = topo.neighbor(u, dir);
+        if (v < 0 || seen[static_cast<std::size_t>(v)] ||
+            !std::binary_search(mem.begin(), mem.end(), v))
+          continue;
+        seen[static_cast<std::size_t>(v)] = 1;
+        q.push(v);
+      }
+    }
+    for (int c : kids[static_cast<std::size_t>(p)])
+      if (!seen[static_cast<std::size_t>(topo.landmarkOf(c))]) ++unreachable;
+  }
+  return unreachable;
+}
+
+TEST(HierRouting, ExactSpineFallbackRoutesMatchGoldenFingerprints) {
+  // Random-regular graphs below kExactSpineMaxNodes whose BFS bisection
+  // leaves internally disconnected clusters: the spine to such a child
+  // comes from an unrestricted search out of the parent's landmark, and
+  // any change to that path (or to ball growth) moves the fingerprint.
+  // Regenerate only for a deliberate routing change.
+  struct Golden {
+    GraphSpec graph;
+    std::uint64_t hash;
+  };
+  const Golden goldens[] = {
+      {net::randomRegularGraph(512, 4, 1234), 0x082ebedbd869131bull},
+      {net::randomRegularGraph(768, 3, 7), 0x189f04ac681c8acaull},
+  };
+  for (const Golden& g : goldens) {
+    ASSERT_LE(g.graph.numNodes, net::HierGraphTopology::kExactSpineMaxNodes);
+    const net::HierGraphTopology topo(g.graph);
+    const int unreachable = unreachableChildLandmarks(topo);
+    EXPECT_GT(unreachable, 0) << g.graph.name << " never takes the exact spine fallback";
+    const std::uint64_t hash = routeFingerprint(topo);
+    std::printf("[fingerprint] %s: %d fallback spines, routes 0x%016llxull\n",
+                g.graph.name.c_str(), unreachable, static_cast<unsigned long long>(hash));
+    EXPECT_EQ(hash, g.hash) << g.graph.name;
+  }
+}
+
+TEST(HierRouting, DisconnectedGraphIsRejectedByBothRouters) {
+  // Two disjoint 4-rings: every router must refuse the spec outright.
+  GraphSpec g;
+  g.name = "two-rings";
+  g.numNodes = 8;
+  for (NodeId base : {0, 4})
+    for (NodeId i = 0; i < 4; ++i) g.edges.push_back({base + i, base + (i + 1) % 4, 1.0});
+  for (const TopologySpec& spec : {TopologySpec::graph(g), TopologySpec::hierGraph(g)}) {
+    try {
+      (void)net::makeTopology(spec);
+      ADD_FAILURE() << spec.describe() << " accepted a disconnected graph";
+    } catch (const support::CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("not connected"), std::string::npos)
+          << spec.describe() << ": " << e.what();
+    }
+  }
 }
 
 TEST(HierRouting, SpecRoundTripAndDescribe) {
