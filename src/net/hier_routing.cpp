@@ -10,7 +10,15 @@ namespace diva::net {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Home slot of `node` in a ball table of `cap` slots: a 32-bit
+/// multiplicative hash mapped onto [0, cap) by a multiply-shift, so
+/// capacities need not be powers of two.
+std::uint32_t homeSlot(NodeId node, std::uint32_t cap) {
+  const std::uint32_t h = static_cast<std::uint32_t>(node) * 0x9E3779B1u;
+  return static_cast<std::uint32_t>((static_cast<std::uint64_t>(h) * cap) >> 32);
 }
+}  // namespace
 
 HierGraphTopology::HierGraphTopology(std::shared_ptr<const GraphSpec> spec,
                                      int routingArity,
@@ -135,7 +143,7 @@ void HierGraphTopology::growBall(NodeId lm, std::size_t entryCap, const NodeId* 
   dist_[lm] = 0.0;
   push(0.0, lm);
 
-  const std::size_t firstEntry = ball_.size();
+  ball_.clear();
   while (!heap_.empty()) {
     std::pop_heap(heap_.begin(), heap_.end(), later);
     const auto [du, u] = heap_.back();
@@ -147,7 +155,7 @@ void HierGraphTopology::growBall(NodeId lm, std::size_t entryCap, const NodeId* 
     // relies on. The cap is HARD: on expanders ball population grows
     // exponentially with radius, so reachability of anything outside the
     // prefix is the spine paths' job (buildBalls), never the prefix's.
-    if (ball_.size() - firstEntry >= entryCap) break;
+    if (ball_.size() >= entryCap) break;
     ball_.push_back(BallEntry{u, dirToLm_[u]});
     if (targets != nullptr) {
       // Read a target's path at its pop, while the scratch still holds
@@ -241,11 +249,9 @@ void HierGraphTopology::buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
     if (kids[static_cast<std::size_t>(p)].empty()) continue;
     const std::vector<NodeId>& mem = tree_->members(p);
     const NodeId lm = landmark_[p];
-    // A throwaway prefix: we only want the scratch arrays (dist/dir)
-    // filled for the whole cluster, not ball entries.
-    const std::size_t mark = ball_.size();
+    // Only the scratch arrays (dist/dir) filled for the whole cluster
+    // matter here; the ball_ entries are thrown away.
     growBall(lm, unbounded, mem.data(), mem.data() + mem.size(), nullptr);
-    ball_.resize(mark);
     // Read every reached child before the fallback search clobbers this
     // cluster's scratch.
     missing.clear();
@@ -264,7 +270,6 @@ void HierGraphTopology::buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
       // (same pop order, same tie-breaks), so reading each path at its
       // landmark's pop yields exactly that search's path.
       growBall(lm, unbounded, nullptr, nullptr, &missing);
-      ball_.resize(mark);
       DIVA_CHECK_MSG(missing.empty(), "no path from landmark "
                                           << lm << " to landmark " << missing.front().node
                                           << " — graph '" << spec_->name
@@ -282,9 +287,12 @@ void HierGraphTopology::buildBalls() {
   hop_.assign(static_cast<std::size_t>(n), 0);
   dirToLm_.assign(static_cast<std::size_t>(n), -1);
   ver_.assign(static_cast<std::size_t>(n), 0);
+  inBall_.assign(static_cast<std::size_t>(n), -1);
 
-  ball_.clear();
+  slotNode_.clear();
+  slotDir_.clear();
   ballBegin_.assign(static_cast<std::size_t>(tn) + 1, 0);
+  totalEntries_ = 0;
 
   // Root first (tree node 0): the full shortest-path tree, doubling as
   // the connectivity check and as the LCA structure spine fallbacks use.
@@ -309,9 +317,7 @@ void HierGraphTopology::buildBalls() {
     sptParent[v] = dirToLm_[v] < 0 ? v : adj_.neighbor(v, dirToLm_[v]);
     sptDepth[v] = hop_[v];
   }
-  std::sort(ball_.begin(), ball_.end(),
-            [](const BallEntry& a, const BallEntry& b) { return a.node < b.node; });
-  ballBegin_[1] = ball_.size();
+  storeBall(0);
 
   // Spine paths next (they clobber the same scratch the balls use).
   std::vector<std::vector<NodeId>> spine(static_cast<std::size_t>(tn));
@@ -323,34 +329,28 @@ void HierGraphTopology::buildBalls() {
     const NodeId lm = landmark_[i];
     const std::size_t cap = static_cast<std::size_t>(std::max(
         kBallMinEntries, kBallEntryFactor * static_cast<int>(tree_->members(i).size())));
-    const std::size_t first = ball_.size();
     growBall(lm, cap, nullptr, nullptr, nullptr);
-    std::sort(ball_.begin() + static_cast<std::ptrdiff_t>(first), ball_.end(),
-              [](const BallEntry& a, const BallEntry& b) { return a.node < b.node; });
+    for (const BallEntry& e : ball_) inBall_[e.node] = i;
     // Inject the spine path (parent's landmark → lm): nodes not already
     // in the prefix get the along-path direction toward lm. This is what
     // restores ball(C) ∋ landmark(parent(C)) — the invariant the chain
     // induction needs — without the prefix having to reach that far.
     const std::vector<NodeId>& path = spine[static_cast<std::size_t>(i)];
-    const std::size_t sorted = ball_.size();
     for (std::size_t j = 0; j + 1 < path.size(); ++j) {
       const NodeId v = path[j];
-      const NodeId next = path[j + 1];
-      const auto* b = ball_.data() + first;
-      const auto* e = ball_.data() + sorted;
-      const auto* it = std::lower_bound(
-          b, e, v, [](const BallEntry& a, NodeId x) { return a.node < x; });
-      if (it != e && it->node == v) continue;  // prefix direction wins
+      if (inBall_[v] == i) continue;  // prefix direction wins
+      inBall_[v] = i;
       const NodeId* vAdj = adj_.adj.data() + static_cast<std::size_t>(v) * adj_.degree;
       int vd = 0;
-      while (vAdj[vd] != next) ++vd;
+      while (vAdj[vd] != path[j + 1]) ++vd;
       ball_.push_back(BallEntry{v, static_cast<std::int16_t>(vd)});
     }
-    std::sort(ball_.begin() + static_cast<std::ptrdiff_t>(first), ball_.end(),
-              [](const BallEntry& a, const BallEntry& b) { return a.node < b.node; });
-    ballBegin_[i + 1] = ball_.size();
+    storeBall(i);
   }
-  // The per-ball Dijkstra scratch is construction-only state.
+  // The ball being built and the Dijkstra scratch are construction-only
+  // state.
+  ball_ = {};
+  inBall_ = {};
   dist_ = {};
   hop_ = {};
   dirToLm_ = {};
@@ -358,9 +358,33 @@ void HierGraphTopology::buildBalls() {
   heap_ = {};
 }
 
+void HierGraphTopology::storeBall(int treeNode) {
+  const std::size_t m = ball_.size();
+  const std::size_t begin = slotNode_.size();
+  const auto cap = static_cast<std::uint32_t>(4 * m / 3 + 1);
+  slotNode_.resize(begin + cap, -1);
+  slotDir_.resize(begin + cap, 0);
+  NodeId* keys = slotNode_.data() + begin;
+  for (const BallEntry& e : ball_) {
+    std::uint32_t s = homeSlot(e.node, cap);
+    while (keys[s] >= 0) s = s + 1 == cap ? 0 : s + 1;
+    keys[s] = e.node;
+    slotDir_[begin + s] = e.dir;
+  }
+  ballBegin_[static_cast<std::size_t>(treeNode) + 1] = begin + cap;
+  totalEntries_ += m;
+}
+
+std::size_t HierGraphTopology::ballSize(int treeNode) const {
+  return static_cast<std::size_t>(
+      std::count_if(slotNode_.begin() + static_cast<std::ptrdiff_t>(ballBegin_[treeNode]),
+                    slotNode_.begin() + static_cast<std::ptrdiff_t>(ballBegin_[treeNode + 1]),
+                    [](NodeId v) { return v >= 0; }));
+}
+
 std::size_t HierGraphTopology::routingBytes() const {
-  return ball_.size() * sizeof(BallEntry) + ballBegin_.size() * sizeof(std::uint64_t) +
-         landmark_.size() * sizeof(NodeId);
+  return slotNode_.size() * sizeof(NodeId) + slotDir_.size() * sizeof(std::int16_t) +
+         ballBegin_.size() * sizeof(std::uint64_t) + landmark_.size() * sizeof(NodeId);
 }
 
 // ---------------------------------------------------------------------------
@@ -368,12 +392,14 @@ std::size_t HierGraphTopology::routingBytes() const {
 // ---------------------------------------------------------------------------
 
 int HierGraphTopology::findDir(int treeNode, NodeId node) const {
-  const BallEntry* first = ball_.data() + ballBegin_[treeNode];
-  const BallEntry* last = ball_.data() + ballBegin_[treeNode + 1];
-  const BallEntry* it = std::lower_bound(
-      first, last, node, [](const BallEntry& e, NodeId n) { return e.node < n; });
-  if (it == last || it->node != node) return -2;
-  return it->dir;
+  const std::uint64_t begin = ballBegin_[treeNode];
+  const auto cap = static_cast<std::uint32_t>(ballBegin_[treeNode + 1] - begin);
+  const NodeId* keys = slotNode_.data() + begin;
+  // Load ≤ 3/4 guarantees an empty slot, so the probe always ends.
+  for (std::uint32_t s = homeSlot(node, cap);; s = s + 1 == cap ? 0 : s + 1) {
+    if (keys[s] == node) return slotDir_[begin + s];
+    if (keys[s] < 0) return -2;
+  }
 }
 
 int HierGraphTopology::chainOf(NodeId dst, int* chain) const {

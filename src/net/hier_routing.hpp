@@ -30,6 +30,10 @@ namespace diva::net {
 ///    directions win on overlap). The root's ball is the full
 ///    shortest-path tree.
 ///
+/// Each ball is stored as its own open-addressed table (linear probing,
+/// load ≤ 3/4), so a membership/direction lookup is one short probe
+/// rather than a binary search over the ball.
+///
 /// A message to `dst` carries (implicitly, recomputed per hop) the
 /// ancestor chain of dst's leaf. At node x the router picks the deepest
 /// chain cluster whose ball contains x and hops toward its landmark.
@@ -117,14 +121,13 @@ class HierGraphTopology final : public Topology {
   /// The internal routing tree (distinct from any decompose() result).
   const GraphClusterTree& routingTree() const { return *tree_; }
   NodeId landmarkOf(int treeNode) const { return landmark_[treeNode]; }
-  std::size_t ballSize(int treeNode) const {
-    return static_cast<std::size_t>(ballBegin_[treeNode + 1] - ballBegin_[treeNode]);
-  }
+  /// Entries (occupied slots) of `treeNode`'s ball; scans its table.
+  std::size_t ballSize(int treeNode) const;
   bool ballContains(int treeNode, NodeId node) const { return findDir(treeNode, node) >= -1; }
   /// Total ball entries across all tree nodes — the sparse-state size the
   /// memory-vs-n table in docs/routing.md reports.
-  std::size_t totalBallEntries() const { return ball_.size(); }
-  /// Approximate bytes of routing state (balls + offsets + landmarks).
+  std::size_t totalBallEntries() const { return totalEntries_; }
+  /// Approximate bytes of routing state (ball tables + offsets + landmarks).
   std::size_t routingBytes() const;
 
  private:
@@ -152,8 +155,8 @@ class HierGraphTopology final : public Topology {
     NodeId node;
     std::vector<NodeId>* path;
   };
-  /// Bounded deterministic Dijkstra around `lm` appending pop-order
-  /// entries to ball_. A non-null [clusterBegin, clusterEnd) (sorted)
+  /// Bounded deterministic Dijkstra around `lm` filling ball_ with its
+  /// pop-order entries. A non-null [clusterBegin, clusterEnd) (sorted)
   /// restricts the search to those nodes. With non-null `targets`, each
   /// target's lm → node path is read off the scratch the moment it pops
   /// (and the target erased); the search ends once the list is empty, so
@@ -162,8 +165,13 @@ class HierGraphTopology final : public Topology {
                 const NodeId* clusterEnd, std::vector<SpineTarget>* targets);
   /// Reads the last search's scratch: the src→dst path, both inclusive.
   std::vector<NodeId> backtrackPath(NodeId src, NodeId dst) const;
+  /// Appends ball_ as `treeNode`'s table (balls are stored in tree-node
+  /// order): ⌊4m/3⌋+1 slots for its m entries (load ≤ 3/4, so 6-byte
+  /// slots cost ≤ 8 bytes per entry).
+  void storeBall(int treeNode);
   /// Direction stored for `node` in `treeNode`'s ball, -1 at the landmark
-  /// itself, -2 when the node is outside the ball.
+  /// itself, -2 when the node is outside the ball: one linear probe from
+  /// its home slot, ending at the key or at the first empty slot.
   int findDir(int treeNode, NodeId node) const;
   /// Fills `chain` deepest-first with the ancestors of dst's leaf;
   /// returns the chain length.
@@ -175,12 +183,20 @@ class HierGraphTopology final : public Topology {
   int routingArity_;
   GraphAdjacency adj_;
   std::unique_ptr<GraphClusterTree> tree_;
-  std::vector<NodeId> landmark_;        ///< per tree node
-  std::vector<BallEntry> ball_;         ///< all balls, each sorted by node id
-  std::vector<std::uint64_t> ballBegin_;  ///< per tree node; [i, i+1) slices ball_
+  std::vector<NodeId> landmark_;  ///< per tree node
+  /// All ball tables back to back, as parallel slot arrays: the node id
+  /// (-1 marks an empty slot) and its direction toward the landmark.
+  std::vector<NodeId> slotNode_;
+  std::vector<std::int16_t> slotDir_;
+  std::vector<std::uint64_t> ballBegin_;  ///< per tree node; [i, i+1) slices the slots
+  std::size_t totalEntries_ = 0;
 
-  // Dijkstra scratch, versioned so per-ball reset is O(1) not O(n), plus
-  // the priority-queue storage every search reuses. Construction only.
+  // Construction only: the ball being built (pop-order prefix, then the
+  // spine nodes it lacks), a per-node stamp of the tree node whose ball
+  // last took it, the Dijkstra scratch (versioned so per-ball reset is
+  // O(1) not O(n)) and the priority-queue storage every search reuses.
+  std::vector<BallEntry> ball_;
+  std::vector<std::int32_t> inBall_;
   using QEntry = std::pair<double, NodeId>;  ///< pops by (distance, node id)
   std::vector<double> dist_;
   std::vector<std::uint32_t> hop_;

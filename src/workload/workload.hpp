@@ -57,7 +57,7 @@ struct PhaseSpec {
   /// progress, and latency is measured from the SCHEDULED arrival —
   /// queueing delay counts. Kind::None (the default) keeps the classic
   /// closed loop; closed-loop runs are byte-identical to before.
-  serve::ArrivalSpec arrival;
+  serve::ArrivalSpec arrival{};
   /// SLO deadline in µs: served requests whose latency exceeds it count
   /// as `late` in the report (0 = no deadline).
   double deadlineUs = 0.0;
@@ -69,7 +69,7 @@ struct PhaseSpec {
   /// and accesses come from this request-trace file instead of the
   /// generator — `rounds`, `zipfS`, `hotShift`, `readFraction`,
   /// `thinkMeanUs` and `arrival` must stay at their defaults.
-  std::string tracePath;
+  std::string tracePath{};
 
   /// True iff this phase runs open loop (generated arrivals or a trace).
   bool openLoop() const { return arrival.open() || !tracePath.empty(); }

@@ -272,6 +272,27 @@ TEST(Alloc, GraphRoutedMessageChurnIsAllocationFreeInSteadyState) {
   EXPECT_EQ(budget, 0u);
 }
 
+// The same relay churn on a hierarchically routed random-regular
+// machine: every hop of every route walks the destination's chain of
+// ball tables. The Topology contract says appendRoute never allocates;
+// this holds the landmark-ball router to it end to end.
+TEST(Alloc, HierRoutedMessageChurnIsAllocationFreeInSteadyState) {
+  Machine m(net::TopologySpec::hierGraph(net::randomRegularGraph(128, 4, 3)));
+  std::uint64_t budget = 20'000;
+  registerRelayHandlers(m, budget);
+  injectSeedMessages(m);
+  m.engine.run();  // warm-up: pools, spilled route buffers, link tables
+  ASSERT_EQ(budget, 0u);
+
+  budget = 20'000;
+  injectSeedMessages(m);
+  const std::uint64_t before = allocCount();
+  m.engine.run();
+  EXPECT_EQ(allocCount() - before, 0u)
+      << "steady-state hierarchically routed churn allocated on the message path";
+  EXPECT_EQ(budget, 0u);
+}
+
 // Mailbox-heavy steady state: a token circulates a ring of coroutines
 // that each loop `recv` → `post`. Every recv call is a fresh coroutine,
 // so without the network's frame pool this would allocate one frame per

@@ -406,7 +406,9 @@ TEST(TraceCapture, CaptureThenReplayMatchesOpCounts) {
     EXPECT_GE(req.node, 0);
     EXPECT_LT(req.node, 4);
     EXPECT_LT(req.object, 8);
-    if (i > 0) EXPECT_GE(req.timeUs, captured.requests[i - 1].timeUs);
+    if (i > 0) {
+      EXPECT_GE(req.timeUs, captured.requests[i - 1].timeUs);
+    }
     capturedReads += req.isRead ? 1u : 0u;
   }
 
