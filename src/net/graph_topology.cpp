@@ -1,13 +1,13 @@
 #include "net/graph_topology.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <limits>
 #include <queue>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "support/line_reader.hpp"
 #include "support/rng.hpp"
 
 namespace diva::net {
@@ -535,86 +535,43 @@ GraphSpec parseGraph(const std::string& text) {
   GraphSpec g;
   g.name = "file";
   g.numNodes = -1;
-  std::istringstream in(text);
-  std::string line;
-  int lineNo = 0;
   // Undirected pairs already declared, for line-numbered duplicate
   // diagnostics — GraphTopology would reject them too, but only after
   // parsing, without saying which line to fix.
   std::unordered_set<std::uint64_t> seenEdges;
-  while (std::getline(in, line)) {
-    ++lineNo;
-    std::istringstream ls(line);
-    std::string word;
-    if (!(ls >> word) || word[0] == '#') continue;
-    if (word == "graph") {
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> g.name),
-                     "graph file line " << lineNo << ": 'graph' needs a name");
-    } else if (word == "nodes") {
-      DIVA_CHECK_MSG(g.numNodes < 0,
-                     "graph file line " << lineNo << ": duplicate 'nodes' line");
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> g.numNodes) && g.numNodes >= 1,
-                     "graph file line " << lineNo << ": 'nodes' needs a positive count");
-    } else if (word == "edge") {
-      DIVA_CHECK_MSG(g.numNodes >= 0,
-                     "graph file line " << lineNo << ": 'edge' before 'nodes'");
+  support::LineReader r(text, "graph");
+  while (r.next()) {
+    if (r.word() == "graph") {
+      g.name = r.token("name");
+    } else if (r.word() == "nodes") {
+      if (g.numNodes >= 0) r.fail("duplicate 'nodes' line");
+      g.numNodes = r.value<int>("node count");
+      if (g.numNodes < 1) r.fail("'nodes' needs a positive count");
+    } else if (r.word() == "edge") {
+      if (g.numNodes < 0) r.fail("'edge' before 'nodes'");
       GraphSpec::Edge e;
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> e.u >> e.v),
-                     "graph file line " << lineNo << ": 'edge' needs two node ids");
-      DIVA_CHECK_MSG(e.u >= 0 && e.u < g.numNodes && e.v >= 0 && e.v < g.numNodes,
-                     "graph file line " << lineNo << ": edge " << e.u << "-" << e.v
-                                        << " out of range for " << g.numNodes
-                                        << " nodes");
-      DIVA_CHECK_MSG(e.u != e.v,
-                     "graph file line " << lineNo << ": self-loop at node " << e.u);
+      e.u = r.value<NodeId>("node id");
+      e.v = r.value<NodeId>("node id");
+      if (e.u < 0 || e.u >= g.numNodes || e.v < 0 || e.v >= g.numNodes)
+        r.fail("edge ", e.u, "-", e.v, " out of range for ", g.numNodes, " nodes");
+      if (e.u == e.v) r.fail("self-loop at node ", e.u);
       const auto lo = static_cast<std::uint64_t>(std::min(e.u, e.v));
       const auto hi = static_cast<std::uint64_t>(std::max(e.u, e.v));
-      DIVA_CHECK_MSG(seenEdges.insert((hi << 32) | lo).second,
-                     "graph file line " << lineNo << ": duplicate edge " << e.u << "-"
-                                        << e.v);
-      std::string wtok;
-      if (ls >> wtok) {
-        std::istringstream ws(wtok);
-        DIVA_CHECK_MSG(static_cast<bool>(ws >> e.weight) && ws.eof(),
-                       "graph file line " << lineNo << ": malformed edge weight '"
-                                          << wtok << "'");
-      }
-      if (ls >> wtok) {
-        std::istringstream lt(wtok);
-        DIVA_CHECK_MSG(static_cast<bool>(lt >> e.latency) && lt.eof(),
-                       "graph file line " << lineNo << ": malformed edge latency '"
-                                          << wtok << "'");
-      }
+      if (!seenEdges.insert((hi << 32) | lo).second)
+        r.fail("duplicate edge ", e.u, "-", e.v);
+      if (r.more()) e.weight = r.value<double>("edge weight");
+      if (r.more()) e.latency = r.value<double>("edge latency");
       g.edges.push_back(e);
     } else {
-      DIVA_CHECK_MSG(false, "graph file line " << lineNo << ": unknown directive '"
-                                               << word << "'");
+      r.fail("unknown directive '", r.word(), "'");
     }
-    // After a directive's declared arguments, any trailing token is an
-    // error (same policy as the scenario format): a stray column must
-    // not silently build a different network than the file describes.
-    std::string extra;
-    DIVA_CHECK_MSG(!(ls >> extra), "graph file line "
-                                       << lineNo << ": unexpected trailing token '"
-                                       << extra << "' after '" << word << "'");
   }
   DIVA_CHECK_MSG(g.numNodes >= 0, "graph file has no 'nodes' line");
   return g;
 }
 
 GraphSpec loadGraphFile(const std::string& path) {
-  std::ifstream in(path);
-  DIVA_CHECK_MSG(in.good(), "cannot open graph file '" << path << "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  // Parser errors carry line numbers but not the file name (parseGraph
-  // also serves in-memory text); add the path so a failing multi-file
-  // experiment names its culprit.
-  try {
-    return parseGraph(text.str());
-  } catch (const support::CheckError& e) {
-    throw support::CheckError(path + ": " + e.what());
-  }
+  return support::parseFile(path, "graph", parseGraph);
 }
 
 std::string formatGraph(const GraphSpec& spec) {

@@ -247,7 +247,8 @@ GraphSpec gridGraph(int rows, int cols);
 // ---------------------------------------------------------------------------
 // Text format — lets benches and tests load arbitrary graphs from file:
 //
-//   # comment (blank lines ignored)
+//   # comment                       (lexical rules shared with the scenario
+//                                    and trace formats: support/line_reader.hpp)
 //   graph <name>                    (optional; defaults to "file")
 //   nodes <N>                       (required, before any edge)
 //   edge <u> <v> [weight [latency]] (one per line; undirected; weight and
@@ -257,7 +258,8 @@ GraphSpec gridGraph(int rows, int cols);
 /// Parse the text format; throws CheckError with a line number on errors.
 GraphSpec parseGraph(const std::string& text);
 
-/// Read a graph file from disk; throws CheckError if unreadable.
+/// Read a graph file from disk; throws CheckError (prefixed with the
+/// path) if unreadable or malformed.
 GraphSpec loadGraphFile(const std::string& path);
 
 /// Serialize a GraphSpec to the text format (parseGraph round-trips it).

@@ -1,101 +1,50 @@
 #include "serve/trace.hpp"
 
-#include <fstream>
 #include <limits>
 #include <sstream>
 
-#include "support/check.hpp"
+#include "support/line_reader.hpp"
 
 namespace diva::serve {
-
-namespace {
-
-/// Strict one-token extraction, mirroring the scenario parser: the whole
-/// token must consume as a T, and unsigned/id fields reject negatives.
-template <typename T>
-T parseValue(std::istringstream& ls, int lineNo, const char* what) {
-  std::string tok;
-  DIVA_CHECK_MSG(static_cast<bool>(ls >> tok),
-                 "trace file line " << lineNo << ": missing " << what);
-  std::istringstream ts(tok);
-  T v{};
-  DIVA_CHECK_MSG(static_cast<bool>(ts >> v) && ts.eof(),
-                 "trace file line " << lineNo << ": malformed " << what << " '" << tok
-                                    << "'");
-  return v;
-}
-
-void rejectTrailing(std::istringstream& ls, int lineNo, const char* what) {
-  std::string extra;
-  DIVA_CHECK_MSG(!(ls >> extra), "trace file line " << lineNo
-                                                    << ": unexpected trailing token '"
-                                                    << extra << "' after " << what);
-}
-
-}  // namespace
 
 Trace parseTrace(const std::string& text) {
   Trace trace;
   bool haveObjects = false;
   int maxObject = -1;
   double lastTime = 0.0;
-  std::istringstream in(text);
-  std::string line;
-  int lineNo = 0;
-  while (std::getline(in, line)) {
-    ++lineNo;
-    std::istringstream ls(line.substr(0, line.find('#')));
-    std::string word;
-    if (!(ls >> word)) continue;
-    if (word == "trace") {
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> trace.name),
-                     "trace file line " << lineNo << ": 'trace' needs a name");
-      rejectTrailing(ls, lineNo, "'trace'");
-    } else if (word == "objects") {
-      DIVA_CHECK_MSG(!haveObjects,
-                     "trace file line " << lineNo << ": duplicate 'objects' line");
+  support::LineReader r(text, "trace");
+  while (r.next()) {
+    if (r.word() == "trace") {
+      trace.name = r.token("name");
+    } else if (r.word() == "objects") {
+      if (haveObjects) r.fail("duplicate 'objects' line");
       haveObjects = true;
-      trace.numObjects = parseValue<int>(ls, lineNo, "object count");
-      DIVA_CHECK_MSG(trace.numObjects >= 1,
-                     "trace file line " << lineNo << ": object count must be positive");
-      if (!ls.eof() &&
-          (ls >> std::ws, ls.peek() != std::istringstream::traits_type::eof())) {
-        trace.objectBytes = parseValue<std::uint64_t>(ls, lineNo, "object size");
-        DIVA_CHECK_MSG(trace.objectBytes >= 1,
-                       "trace file line " << lineNo << ": object size must be positive");
+      trace.numObjects = r.value<int>("object count");
+      if (trace.numObjects < 1) r.fail("object count must be positive");
+      if (r.more()) {
+        trace.objectBytes = r.value<std::uint64_t>("object size");
+        if (trace.objectBytes < 1) r.fail("object size must be positive");
       }
-      rejectTrailing(ls, lineNo, "'objects'");
     } else {
-      // A request line: <t> <node> <r|w> <object>. The first token was
-      // already consumed as `word` — re-parse it as the arrival time.
-      std::istringstream ts(word);
+      // A request line: <t> <node> <r|w> <object>. Its first token was
+      // read as the directive word — re-parse it as the arrival time.
       TraceRequest req;
-      DIVA_CHECK_MSG(static_cast<bool>(ts >> req.timeUs) && ts.eof(),
-                     "trace file line " << lineNo << ": expected a request line "
-                                           "'<t> <node> <r|w> <object>' or a directive, "
-                                           "got '" << word << "'");
-      DIVA_CHECK_MSG(req.timeUs >= 0.0,
-                     "trace file line " << lineNo << ": arrival time must be >= 0");
-      DIVA_CHECK_MSG(req.timeUs >= lastTime,
-                     "trace file line " << lineNo << ": arrival times must be "
-                                           "non-decreasing (" << req.timeUs << " after "
-                                           << lastTime << ")");
+      if (!support::parseToken(r.word(), req.timeUs))
+        r.fail("expected a request line '<t> <node> <r|w> <object>' or a directive, got '",
+               r.word(), "'");
+      if (req.timeUs < 0.0) r.fail("arrival time must be >= 0");
+      if (req.timeUs < lastTime)
+        r.fail("arrival times must be non-decreasing (", req.timeUs, " after ", lastTime,
+               ")");
       lastTime = req.timeUs;
-      req.node = parseValue<net::NodeId>(ls, lineNo, "node id");
-      DIVA_CHECK_MSG(req.node >= 0, "trace file line " << lineNo
-                                                       << ": node id must be >= 0");
-      std::string op;
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> op),
-                     "trace file line " << lineNo << ": missing op ('r' or 'w')");
-      DIVA_CHECK_MSG(op == "r" || op == "w",
-                     "trace file line " << lineNo << ": op must be 'r' or 'w' (got '"
-                                        << op << "')");
+      req.node = r.value<net::NodeId>("node id");
+      if (req.node < 0) r.fail("node id must be >= 0");
+      const std::string op = r.token("op ('r' or 'w')");
+      if (op != "r" && op != "w") r.fail("op must be 'r' or 'w' (got '", op, "')");
       req.isRead = op == "r";
-      req.object = parseValue<int>(ls, lineNo, "object id");
-      DIVA_CHECK_MSG(req.object >= 0, "trace file line " << lineNo
-                                                         << ": object id must be >= 0");
+      req.object = r.value<int>("object id");
+      if (req.object < 0) r.fail("object id must be >= 0");
       if (req.object > maxObject) maxObject = req.object;
-      rejectTrailing(ls, lineNo, "the request");
       trace.requests.push_back(req);
     }
   }
@@ -112,15 +61,7 @@ Trace parseTrace(const std::string& text) {
 }
 
 Trace loadTraceFile(const std::string& path) {
-  std::ifstream in(path);
-  DIVA_CHECK_MSG(in.good(), "cannot open trace file '" << path << "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  try {
-    return parseTrace(text.str());
-  } catch (const support::CheckError& e) {
-    throw support::CheckError(path + ": " + e.what());
-  }
+  return support::parseFile(path, "trace", parseTrace);
 }
 
 std::string formatTrace(const Trace& trace) {

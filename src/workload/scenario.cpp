@@ -4,240 +4,119 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <type_traits>
 
-#include "support/check.hpp"
+#include "support/line_reader.hpp"
 
 namespace diva::workload {
-
-namespace {
-
-/// Parse exactly one value of type T from the rest of `ls`; CheckError
-/// with the line number and key name otherwise. Mirrors the strict
-/// token-at-a-time style of parseGraph. Unsigned fields reject negative
-/// literals explicitly — istream extraction would silently wrap them to
-/// huge values.
-template <typename T>
-T parseValue(std::istringstream& ls, int lineNo, const char* key) {
-  std::string tok;
-  DIVA_CHECK_MSG(static_cast<bool>(ls >> tok),
-                 "scenario file line " << lineNo << ": '" << key << "' needs a value");
-  if constexpr (std::is_unsigned_v<T>) {
-    DIVA_CHECK_MSG(tok[0] != '-', "scenario file line "
-                                      << lineNo << ": '" << key
-                                      << "' must be non-negative (got '" << tok << "')");
-  }
-  std::istringstream ts(tok);
-  T v{};
-  DIVA_CHECK_MSG(static_cast<bool>(ts >> v) && ts.eof(),
-                 "scenario file line " << lineNo << ": malformed '" << key << "' value '"
-                                       << tok << "'");
-  return v;
-}
-
-}  // namespace
 
 WorkloadSpec parseScenario(const std::string& text) {
   WorkloadSpec spec;
   spec.name = "file";
   spec.phases.clear();
   bool haveObjects = false;
-  std::istringstream in(text);
-  std::string line;
-  int lineNo = 0;
   PhaseSpec* phase = nullptr;
-  auto needPhase = [&](const std::string& key) {
-    DIVA_CHECK_MSG(phase != nullptr, "scenario file line " << lineNo << ": '" << key
-                                                           << "' before any 'phase'");
+  support::LineReader r(text, "scenario");
+  // Phase keys configure the latest `phase` line.
+  auto ph = [&]() -> PhaseSpec& {
+    if (phase == nullptr) r.fail("'", r.word(), "' before any 'phase'");
+    return *phase;
   };
-  while (std::getline(in, line)) {
-    ++lineNo;
-    // '#' starts a comment anywhere on the line.
-    std::istringstream ls(line.substr(0, line.find('#')));
-    std::string word;
-    if (!(ls >> word)) continue;
+  while (r.next()) {
+    const std::string& word = r.word();
     if (word == "scenario") {
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> spec.name),
-                     "scenario file line " << lineNo << ": 'scenario' needs a name");
+      spec.name = r.token("name");
     } else if (word == "seed") {
-      spec.seed = parseValue<std::uint64_t>(ls, lineNo, "seed");
+      spec.seed = r.value<std::uint64_t>("seed");
     } else if (word == "objects") {
-      DIVA_CHECK_MSG(!haveObjects,
-                     "scenario file line " << lineNo << ": duplicate 'objects' line");
+      if (haveObjects) r.fail("duplicate 'objects' line");
       haveObjects = true;
-      spec.numObjects = parseValue<int>(ls, lineNo, "objects");
-      if (!ls.eof() && (ls >> std::ws, ls.peek() != std::istringstream::traits_type::eof()))
-        spec.objectBytes = parseValue<std::uint64_t>(ls, lineNo, "object size");
+      spec.numObjects = r.value<int>("object count");
+      if (r.more()) spec.objectBytes = r.value<std::uint64_t>("object size");
     } else if (word == "cache") {
-      spec.cacheBytes = parseValue<std::uint64_t>(ls, lineNo, "cache");
+      spec.cacheBytes = r.value<std::uint64_t>("cache size");
     } else if (word == "procs") {
-      spec.procs = parseValue<int>(ls, lineNo, "procs");
+      spec.procs = r.value<int>("procs");
     } else if (word == "topology") {
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> spec.topology),
-                     "scenario file line " << lineNo << ": 'topology' needs a name");
+      spec.topology = r.token("topology name");
     } else if (word == "phase") {
-      PhaseSpec ph;
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> ph.name),
-                     "scenario file line " << lineNo << ": 'phase' needs a name");
-      spec.phases.push_back(ph);
+      PhaseSpec p;
+      p.name = r.token("phase name");
+      spec.phases.push_back(p);
       phase = &spec.phases.back();
     } else if (word == "rounds") {
-      needPhase(word);
-      phase->rounds = parseValue<int>(ls, lineNo, "rounds");
+      ph().rounds = r.value<int>("rounds");
     } else if (word == "reads") {
-      needPhase(word);
-      phase->readFraction = parseValue<double>(ls, lineNo, "reads");
+      ph().readFraction = r.value<double>("reads");
     } else if (word == "zipf") {
-      needPhase(word);
-      phase->zipfS = parseValue<double>(ls, lineNo, "zipf");
+      ph().zipfS = r.value<double>("zipf");
     } else if (word == "hotshift") {
-      needPhase(word);
-      phase->hotShift = parseValue<int>(ls, lineNo, "hotshift");
+      ph().hotShift = r.value<int>("hotshift");
     } else if (word == "think") {
-      needPhase(word);
-      phase->thinkMeanUs = parseValue<double>(ls, lineNo, "think");
+      ph().thinkMeanUs = r.value<double>("think");
     } else if (word == "barrier") {
-      needPhase(word);
-      const int b = parseValue<int>(ls, lineNo, "barrier");
-      DIVA_CHECK_MSG(b == 0 || b == 1,
-                     "scenario file line " << lineNo << ": 'barrier' must be 0 or 1");
-      phase->barrier = b == 1;
+      PhaseSpec& p = ph();
+      const int b = r.value<int>("barrier");
+      if (b != 0 && b != 1) r.fail("'barrier' must be 0 or 1");
+      p.barrier = b == 1;
     } else if (word == "arrival") {
-      needPhase(word);
-      std::string kind;
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> kind),
-                     "scenario file line " << lineNo
-                                           << ": 'arrival' needs a kind "
-                                              "(fixed/poisson/burst)");
-      if (kind == "fixed") {
-        phase->arrival.kind = serve::ArrivalSpec::Kind::Fixed;
-      } else if (kind == "poisson") {
-        phase->arrival.kind = serve::ArrivalSpec::Kind::Poisson;
-      } else if (kind == "burst") {
-        phase->arrival.kind = serve::ArrivalSpec::Kind::Burst;
-      } else {
-        DIVA_CHECK_MSG(false, "scenario file line " << lineNo
-                                                    << ": unknown arrival kind '" << kind
-                                                    << "'");
-      }
-      phase->arrival.ratePerSec = parseValue<double>(ls, lineNo, "arrival rate");
-      if (phase->arrival.kind == serve::ArrivalSpec::Kind::Burst) {
-        phase->arrival.burstOnUs = parseValue<double>(ls, lineNo, "burst on-window");
-        phase->arrival.burstOffUs = parseValue<double>(ls, lineNo, "burst off-window");
+      using Kind = serve::ArrivalSpec::Kind;
+      serve::ArrivalSpec& a = ph().arrival;
+      const std::string kind = r.token("arrival kind (fixed/poisson/burst)");
+      a.kind = Kind::None;
+      for (const Kind k : {Kind::Fixed, Kind::Poisson, Kind::Burst})
+        if (kind == serve::arrivalKindName(k)) a.kind = k;
+      if (!a.open()) r.fail("unknown arrival kind '", kind, "'");
+      a.ratePerSec = r.value<double>("arrival rate");
+      if (a.kind == Kind::Burst) {
+        a.burstOnUs = r.value<double>("burst on-window");
+        a.burstOffUs = r.value<double>("burst off-window");
       }
     } else if (word == "deadline") {
-      needPhase(word);
-      phase->deadlineUs = parseValue<double>(ls, lineNo, "deadline");
+      ph().deadlineUs = r.value<double>("deadline");
     } else if (word == "queue") {
-      needPhase(word);
-      phase->queueLimit = parseValue<int>(ls, lineNo, "queue");
+      ph().queueLimit = r.value<int>("queue");
     } else if (word == "trace") {
-      needPhase(word);
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> phase->tracePath),
-                     "scenario file line " << lineNo << ": 'trace' needs a file path");
-    } else if (word == "fault") {
-      needPhase(word);
+      ph().tracePath = r.token("trace file path");
+    } else if (word == "fault" || word == "reconfig") {
+      // fault <offsetUs> <kind> <a> [b] [weightMul latencyMul]
+      // reconfig <offsetUs> <kind> <a> [b] [weight [latency]]
+      // (docs/faults.md). Values are range-checked by validate(), and
+      // endpoints at run time against the machine's shape at the event's
+      // firing instant; both errors name this line.
+      PhaseSpec& p = ph();
+      using Kind = net::FaultEvent::Kind;
       net::FaultEvent ev;
-      ev.offsetUs = parseValue<double>(ls, lineNo, "fault offset");
-      DIVA_CHECK_MSG(ev.offsetUs >= 0.0, "scenario file line "
-                                             << lineNo << ": fault offset must be >= 0");
-      std::string kind;
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> kind),
-                     "scenario file line " << lineNo << ": 'fault' needs a kind "
-                                              "(node-down/node-up/link-down/link-up/"
-                                              "degrade)");
-      const bool nodeKind = kind == "node-down" || kind == "node-up";
-      const bool linkKind =
-          kind == "link-down" || kind == "link-up" || kind == "degrade";
-      DIVA_CHECK_MSG(nodeKind || linkKind, "scenario file line "
-                                               << lineNo << ": unknown fault kind '"
-                                               << kind << "'");
-      ev.a = parseValue<net::NodeId>(ls, lineNo, "fault endpoint");
-      if (nodeKind) {
-        // `b` stays at its default: node faults have one endpoint, and
-        // leaving it untouched keeps parse(format(spec)) == spec for
-        // specs built in code (which leave `b` defaulted too).
-        ev.kind = kind == "node-down" ? net::FaultEvent::Kind::NodeDown
-                                      : net::FaultEvent::Kind::NodeUp;
-      } else {
-        ev.b = parseValue<net::NodeId>(ls, lineNo, "fault endpoint");
-        if (kind == "degrade") {
-          ev.kind = net::FaultEvent::Kind::Degrade;
-          ev.weightMul = parseValue<double>(ls, lineNo, "degrade weight multiplier");
-          ev.latencyMul = parseValue<double>(ls, lineNo, "degrade latency multiplier");
-          DIVA_CHECK_MSG(ev.weightMul > 0.0 && ev.latencyMul > 0.0,
-                         "scenario file line "
-                             << lineNo << ": degrade multipliers must be positive");
-        } else {
-          ev.kind = kind == "link-down" ? net::FaultEvent::Kind::LinkDown
-                                        : net::FaultEvent::Kind::LinkUp;
+      ev.line = r.lineNo();
+      ev.offsetUs = r.value<double>("offset");
+      const std::string kind = r.token("kind");
+      bool known = false;
+      for (int k = 0; k <= static_cast<int>(Kind::RemoveLink); ++k) {
+        if (kind == net::faultKindName(static_cast<Kind>(k)) &&
+            net::isStructural(static_cast<Kind>(k)) == (word == "reconfig")) {
+          ev.kind = static_cast<Kind>(k);
+          known = true;
         }
       }
-      DIVA_CHECK_MSG(ev.a >= 0 && ev.b >= 0,
-                     "scenario file line " << lineNo
-                                           << ": fault endpoints must be >= 0");
-      phase->faults.push_back(ev);
-    } else if (word == "reconfig") {
-      // Structural reconfiguration (docs/faults.md "Reconfiguration"):
-      //   reconfig <offsetUs> add-node <anchor> [weight [latency]]
-      //   reconfig <offsetUs> add-link <u> <v> [weight [latency]]
-      //   reconfig <offsetUs> remove-node <p>
-      //   reconfig <offsetUs> remove-link <u> <v>
-      // Endpoints are validated at run time against the machine's shape
-      // at the event's firing instant; the line number is carried so
-      // those errors point back here.
-      needPhase(word);
-      net::FaultEvent ev;
-      ev.line = lineNo;
-      ev.offsetUs = parseValue<double>(ls, lineNo, "reconfig offset");
-      DIVA_CHECK_MSG(ev.offsetUs >= 0.0,
-                     "scenario file line " << lineNo
-                                           << ": reconfig offset must be >= 0");
-      std::string kind;
-      DIVA_CHECK_MSG(static_cast<bool>(ls >> kind),
-                     "scenario file line " << lineNo
-                                           << ": 'reconfig' needs a kind (add-node/"
-                                              "remove-node/add-link/remove-link)");
-      const bool nodeKind = kind == "add-node" || kind == "remove-node";
-      const bool linkKind = kind == "add-link" || kind == "remove-link";
-      DIVA_CHECK_MSG(nodeKind || linkKind, "scenario file line "
-                                               << lineNo << ": unknown reconfig kind '"
-                                               << kind << "'");
-      ev.a = parseValue<net::NodeId>(ls, lineNo, "reconfig endpoint");
-      if (linkKind) ev.b = parseValue<net::NodeId>(ls, lineNo, "reconfig endpoint");
-      DIVA_CHECK_MSG(ev.a >= 0 && ev.b >= 0,
-                     "scenario file line " << lineNo
-                                           << ": reconfig endpoints must be >= 0");
-      const bool adds = kind == "add-node" || kind == "add-link";
-      if (adds) {
+      if (!known) r.fail("unknown ", word, " kind '", kind, "'");
+      ev.a = r.value<net::NodeId>("endpoint");
+      // `b` stays at its default for one-endpoint kinds, which keeps
+      // parse(format(spec)) == spec for specs built in code.
+      const bool nodeKind = ev.kind == Kind::NodeDown || ev.kind == Kind::NodeUp ||
+                            ev.kind == Kind::AddNode || ev.kind == Kind::RemoveNode;
+      if (!nodeKind) ev.b = r.value<net::NodeId>("endpoint");
+      if (ev.kind == Kind::Degrade) {
+        ev.weightMul = r.value<double>("weight multiplier");
+        ev.latencyMul = r.value<double>("latency multiplier");
+      } else if (ev.kind == Kind::AddNode || ev.kind == Kind::AddLink) {
         // Optional new-edge weight and latency (default 1.0 each),
         // carried in the multiplier fields.
-        const auto more = [&ls] {
-          return !ls.eof() &&
-                 (ls >> std::ws, ls.peek() != std::istringstream::traits_type::eof());
-        };
-        if (more()) ev.weightMul = parseValue<double>(ls, lineNo, "edge weight");
-        if (more()) ev.latencyMul = parseValue<double>(ls, lineNo, "edge latency");
-        DIVA_CHECK_MSG(ev.weightMul > 0.0 && ev.latencyMul > 0.0,
-                       "scenario file line "
-                           << lineNo << ": edge weight/latency must be positive");
+        if (r.more()) ev.weightMul = r.value<double>("edge weight");
+        if (r.more()) ev.latencyMul = r.value<double>("edge latency");
       }
-      ev.kind = kind == "add-node"      ? net::FaultEvent::Kind::AddNode
-                : kind == "remove-node" ? net::FaultEvent::Kind::RemoveNode
-                : kind == "add-link"    ? net::FaultEvent::Kind::AddLink
-                                        : net::FaultEvent::Kind::RemoveLink;
-      phase->faults.push_back(ev);
+      p.faults.push_back(ev);
     } else {
-      DIVA_CHECK_MSG(false, "scenario file line " << lineNo << ": unknown directive '"
-                                                  << word << "'");
+      r.fail("unknown directive '", word, "'");
     }
-    // One consistent policy for every directive: after its declared
-    // arguments, anything but a comment is an error — a one-line typo
-    // ("rounds 5 reads 0.1") must not silently run a different workload.
-    std::string extra;
-    DIVA_CHECK_MSG(!(ls >> extra), "scenario file line "
-                                       << lineNo << ": unexpected trailing token '"
-                                       << extra << "' after '" << word << "'");
   }
   DIVA_CHECK_MSG(haveObjects, "scenario file has no 'objects' line");
   DIVA_CHECK_MSG(!spec.phases.empty(), "scenario file has no 'phase' line");
@@ -246,15 +125,8 @@ WorkloadSpec parseScenario(const std::string& text) {
 }
 
 WorkloadSpec loadScenarioFile(const std::string& path) {
-  std::ifstream in(path);
-  DIVA_CHECK_MSG(in.good(), "cannot open scenario file '" << path << "'");
-  std::ostringstream text;
-  text << in.rdbuf();
-  // Parser errors carry line numbers but not the file name (parseScenario
-  // also serves in-memory text); add the path so a failing multi-file
-  // experiment names its culprit.
-  try {
-    WorkloadSpec spec = parseScenario(text.str());
+  return support::parseFile(path, "scenario", [&path](const std::string& text) {
+    WorkloadSpec spec = parseScenario(text);
     // Resolve relative trace paths against the scenario file's directory,
     // so a committed scenario works no matter the runner's cwd. In-memory
     // parseScenario text has no anchor and keeps paths as written.
@@ -273,9 +145,7 @@ WorkloadSpec loadScenarioFile(const std::string& path) {
                                   "': cannot open trace file '" + ph.tracePath + "'");
     }
     return spec;
-  } catch (const support::CheckError& e) {
-    throw support::CheckError(path + ": " + e.what());
-  }
+  });
 }
 
 std::string formatScenario(const WorkloadSpec& spec) {

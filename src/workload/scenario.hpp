@@ -10,9 +10,8 @@ namespace diva::workload {
 // Scenario text format — the workload twin of the PR 3 graph file format,
 // so experiments are declarative files, diffable and committable:
 //
-//   # comment — '#' starts a comment anywhere on a line; after a
-//                directive's declared arguments, any trailing token that
-//                is not a comment is an error (blank lines ignored)
+//   # comment              (lexical rules shared with the graph and trace
+//                           formats: support/line_reader.hpp)
 //   scenario <name>        (optional; defaults to "file")
 //   seed <u64>             (optional; default 1)
 //   objects <N> [bytes]    (required; object population, payload size
@@ -88,7 +87,9 @@ namespace diva::workload {
 /// The returned spec is validated.
 WorkloadSpec parseScenario(const std::string& text);
 
-/// Read a scenario file from disk; throws CheckError if unreadable.
+/// Read a scenario file from disk; throws CheckError (prefixed with the
+/// path) if unreadable or malformed, or if a phase names an unreadable
+/// trace file.
 WorkloadSpec loadScenarioFile(const std::string& path);
 
 /// Serialize a WorkloadSpec to the text format (parseScenario round-trips

@@ -29,6 +29,11 @@ bool singleToken(const std::string& s) {
   return !s.empty() && s.find_first_of(" \t\r\n#") == std::string::npos;
 }
 
+/// " (scenario line N)" when the event came from a scenario file.
+std::string atLine(int line) {
+  return line > 0 ? " (scenario line " + std::to_string(line) + ")" : std::string();
+}
+
 }  // namespace
 
 void WorkloadSpec::validate() const {
@@ -75,14 +80,16 @@ void WorkloadSpec::validate() const {
                                                        << "': think time must be >= 0");
     for (const net::FaultEvent& ev : ph.faults) {
       DIVA_CHECK_MSG(ev.offsetUs >= 0.0, "workload '" << name << "' phase '" << ph.name
-                                                      << "': fault offset must be >= 0");
+                                                      << "': fault offset must be >= 0"
+                                                      << atLine(ev.line));
       DIVA_CHECK_MSG(ev.a >= 0 && ev.b >= 0,
                      "workload '" << name << "' phase '" << ph.name
-                                  << "': fault endpoints must be >= 0");
+                                  << "': fault endpoints must be >= 0" << atLine(ev.line));
       DIVA_CHECK_MSG(ev.weightMul > 0.0 && ev.latencyMul > 0.0,
                      "workload '" << name << "' phase '" << ph.name
                                   << "': degrade multipliers / new-edge parameters "
-                                     "must be positive");
+                                     "must be positive"
+                                  << atLine(ev.line));
     }
     // Open-loop serving parameters (docs/serving.md).
     const std::string ctx = "workload '" + name + "' phase '" + ph.name + "'";
@@ -162,11 +169,6 @@ namespace {
 /// failed, which is exactly what availability measures.
 constexpr double kRetryBackoffUs = 500.0;
 constexpr int kMaxOpRetries = 20;
-
-/// " (scenario line N)" when the event came from a scenario file.
-std::string atLine(int line) {
-  return line > 0 ? " (scenario line " + std::to_string(line) + ")" : std::string();
-}
 
 /// Evolving-shape pre-flight (docs/faults.md "Reconfiguration"): replay
 /// every phase's fault plan against a model of the machine's shape, in

@@ -278,12 +278,28 @@ TEST(GraphFile, ParsesAndRoundTrips) {
   Machine m(TopologySpec::graph(g));
   EXPECT_EQ(m.numProcs(), 4);
 
+  // The example in docs/topologies.md, verbatim: comments may follow a
+  // directive's arguments.
+  const GraphSpec doc = net::parseGraph(
+      "# comment (blank lines ignored)\n"
+      "graph my-network          # optional name; defaults to \"file\"\n"
+      "nodes 4                   # required, before any edge\n"
+      "edge 0 1                  # undirected; weight and latency default to 1.0\n"
+      "edge 1 2 0.5              # optional per-edge weight (> 0)\n"
+      "edge 2 3 1 4              # optional per-edge latency (> 0) after the weight\n"
+      "edge 3 0 2\n");
+  EXPECT_EQ(doc.name, "my-network");
+  ASSERT_EQ(doc.edges.size(), 4u);
+  EXPECT_DOUBLE_EQ(doc.edges[2].latency, 4.0);
+  EXPECT_EQ(net::parseGraph(net::formatGraph(doc)), doc);
+
   EXPECT_THROW((void)net::parseGraph("edge 0 1\n"), support::CheckError);  // edge first
   EXPECT_THROW((void)net::parseGraph("nodes\n"), support::CheckError);
   EXPECT_THROW((void)net::parseGraph("nodes 2\nnodes 2\n"), support::CheckError);
   EXPECT_THROW((void)net::parseGraph("nodes 2\nlink 0 1\n"), support::CheckError);
   EXPECT_THROW((void)net::parseGraph("nodes 2\nedge 0 1 fast\n"), support::CheckError);
   EXPECT_THROW((void)net::parseGraph("nodes 2\nedge 0 1 0.5x\n"), support::CheckError);
+  EXPECT_THROW((void)net::parseGraph("nodes 2\nedge 0 1.5\n"), support::CheckError);
   // Stray columns after weight+latency are errors, not silently dropped.
   EXPECT_THROW((void)net::parseGraph("nodes 2\nedge 0 1 0.5 2 9\n"), support::CheckError);
   EXPECT_THROW((void)net::parseGraph("nodes 2 3\nedge 0 1\n"), support::CheckError);

@@ -270,6 +270,7 @@ TEST(TraceFormat, RejectsMalformedInput) {
       "0 1 r -4\n",             // negative object
       "garbage 1 r 4\n",        // unparsable time
       "trace demo\n",           // no requests at all
+      "objects 4 -64\n0 0 r 1\n",  // negative object size
   };
   for (const char* text : bad) {
     EXPECT_THROW(serve::parseTrace(text), support::CheckError) << text;

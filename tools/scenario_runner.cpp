@@ -69,7 +69,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <string>
@@ -80,6 +79,7 @@
 #include "obs/tracer.hpp"
 #include "serve/trace.hpp"
 #include "support/check.hpp"
+#include "support/line_reader.hpp"
 #include "workload/scenario.hpp"
 #include "workload/workload.hpp"
 
@@ -208,11 +208,12 @@ int main(int argc, char** argv) {
   bool reportJsonFlag = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto intFlag = [&](int& out) {
-      if (i + 1 >= argc) return false;
-      out = std::atoi(argv[++i]);
-      return out > 0;
+    // Numeric flag values parse whole (support::parseToken): "16x" or
+    // "abc" is bad usage, never a silently truncated or zero value.
+    auto numFlag = [&](auto& out) {
+      return i + 1 < argc && support::parseToken(argv[++i], out);
     };
+    auto intFlag = [&](int& out) { return numFlag(out) && out > 0; };
     if (arg == "--help" || arg == "-h") {
       std::printf(kUsage, argv[0]);
       return 0;
@@ -223,13 +224,10 @@ int main(int argc, char** argv) {
     } else if (arg == "--leaf") {
       if (!intFlag(leaf)) return usage(argv[0]);
     } else if (arg == "--min-availability") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      minAvailability = std::atof(argv[++i]);
-      if (minAvailability < 0.0 || minAvailability > 1.0) return usage(argv[0]);
+      if (!numFlag(minAvailability) || minAvailability < 0.0 || minAvailability > 1.0)
+        return usage(argv[0]);
     } else if (arg == "--max-p99-us") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      maxP99Us = std::atof(argv[++i]);
-      if (maxP99Us <= 0.0) return usage(argv[0]);
+      if (!numFlag(maxP99Us) || maxP99Us <= 0.0) return usage(argv[0]);
     } else if (arg == "--sweep") {
       if (i + 1 >= argc) return usage(argv[0]);
       sweepArg = argv[++i];
@@ -255,9 +253,7 @@ int main(int argc, char** argv) {
       metricsPath = argv[++i];
       if (metricsPath.empty()) return usage(argv[0]);
     } else if (arg == "--sample-interval-us") {
-      if (i + 1 >= argc) return usage(argv[0]);
-      sampleIntervalUs = std::atof(argv[++i]);
-      if (!(sampleIntervalUs > 0.0)) return usage(argv[0]);
+      if (!numFlag(sampleIntervalUs) || !(sampleIntervalUs > 0.0)) return usage(argv[0]);
     } else if (arg == "--report-json") {
       reportJsonFlag = true;
     } else if (!arg.empty() && arg[0] == '-') {
