@@ -252,7 +252,7 @@ void FixedHomeStrategy::handleMessage(net::Message&& msg) {
         // the only current value); park a migration so its retirement
         // drain cedes the value back onto the member set.
         if (!net_.nodeMember(he.writer))
-          pendingMigrations_[b.var] = memberHomeOf(b.var);
+          pendingMigrations_.insert(b.var);
         FhBody ack;
         ack.k = FhBody::K::WriteAck;
         ack.var = b.var;
@@ -393,7 +393,7 @@ bool FixedHomeStrategy::processTransaction(HomeEntry& he, net::Message&& msg) {
     he.copyHolders = {b.requester};
     // Same retired-writer handling as the InvalAck completion path.
     if (!net_.nodeMember(b.requester))
-      pendingMigrations_[b.var] = memberHomeOf(b.var);
+      pendingMigrations_.insert(b.var);
     FhBody ack;
     ack.k = FhBody::K::WriteAck;
     ack.var = b.var;
@@ -706,7 +706,7 @@ void FixedHomeStrategy::onReconfig() {
       pendingMigrations_.erase(x);
       migrateEpochVar(x);
     } else {
-      pendingMigrations_[x] = memberHomeOf(x);  // drain recomputes the target
+      pendingMigrations_.insert(x);  // the drain computes the target
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "diva/cache.hpp"
@@ -153,7 +154,7 @@ class FixedHomeStrategy final : public Strategy {
   /// Vars whose hash home crashed or was migrated across an epoch.
   std::unordered_map<VarId, NodeId> rehome_;
   std::unordered_map<VarId, std::vector<NodeId>> pendingRepairs_;
-  std::unordered_map<VarId, NodeId> pendingMigrations_;
+  std::unordered_set<VarId> pendingMigrations_;
   std::uint64_t nextTxn_ = 1;
 };
 

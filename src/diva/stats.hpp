@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "mesh/link_stats.hpp"
@@ -50,7 +51,43 @@ class Stats {
     std::uint64_t migrationMessages = 0;  ///< messages attributable to migration
     std::uint64_t migrationBytes = 0;     ///< payload bytes moved by migration
     std::uint64_t forwardedOps = 0;       ///< ops forwarded during handoff windows
+
+    /// Field-wise `*this - before`: what accrued since the snapshot.
+    Counters since(const Counters& before) const;
   } ops;
+
+  /// The one list of counters: each field with the snake_case key the
+  /// workload report (`run/`, `phase/<i>/`) and the sampler (`ops/`)
+  /// publish it under. Consumers loop over it instead of naming fields.
+  struct CounterField {
+    const char* key;
+    std::uint64_t Counters::*field;
+  };
+  static constexpr CounterField kCounterFields[] = {
+      {"reads", &Counters::reads},
+      {"read_hits", &Counters::readHits},
+      {"read_remote", &Counters::readRemote},
+      {"writes", &Counters::writes},
+      {"write_local", &Counters::writeLocal},
+      {"write_remote", &Counters::writeRemote},
+      {"invalidations", &Counters::invalidations},
+      {"barriers", &Counters::barriers},
+      {"locks", &Counters::locks},
+      {"evictions", &Counters::evictions},
+      {"eviction_failures", &Counters::evictionFailures},
+      {"protocol_retries", &Counters::protocolRetries},
+      {"failed_ops", &Counters::failedOps},
+      {"retried_ops", &Counters::retriedOps},
+      {"repaired_vars", &Counters::repairedVars},
+      {"recovery_messages", &Counters::recoveryMessages},
+      {"recovery_bytes", &Counters::recoveryBytes},
+      {"migrated_vars", &Counters::migratedVars},
+      {"migration_messages", &Counters::migrationMessages},
+      {"migration_bytes", &Counters::migrationBytes},
+      {"forwarded_ops", &Counters::forwardedOps},
+  };
+  static_assert(std::size(kCounterFields) * sizeof(std::uint64_t) == sizeof(Counters),
+                "every Stats::Counters field needs a kCounterFields row");
 
   void setPhase(int p, sim::Time now) {
     wallUs_[phase_] += now - phaseStart_;
@@ -105,5 +142,12 @@ class Stats {
   std::vector<double> computeUs_;
   std::vector<double> wallUs_;
 };
+
+inline Stats::Counters Stats::Counters::since(const Counters& before) const {
+  Counters d;
+  for (const CounterField& f : kCounterFields)
+    d.*f.field = this->*f.field - before.*f.field;
+  return d;
+}
 
 }  // namespace diva

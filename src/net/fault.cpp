@@ -20,6 +20,10 @@ const char* faultKindName(FaultEvent::Kind kind) {
   return "?";
 }
 
+std::string atLine(int line) {
+  return line > 0 ? " (scenario line " + std::to_string(line) + ")" : std::string();
+}
+
 void applyFault(Network& net, const FaultEvent& ev) {
   switch (ev.kind) {
     case FaultEvent::Kind::LinkDown: net.setLinkUp(ev.a, ev.b, false); return;
@@ -29,16 +33,8 @@ void applyFault(Network& net, const FaultEvent& ev) {
     case FaultEvent::Kind::Degrade:
       net.degradeLink(ev.a, ev.b, ev.weightMul, ev.latencyMul);
       return;
-    case FaultEvent::Kind::AddNode:
-      net.addNode(ev.a, ev.weightMul, ev.latencyMul, ev.line);
-      return;
-    case FaultEvent::Kind::RemoveNode: net.removeNode(ev.a, ev.line); return;
-    case FaultEvent::Kind::AddLink:
-      net.addLink(ev.a, ev.b, ev.weightMul, ev.latencyMul, ev.line);
-      return;
-    case FaultEvent::Kind::RemoveLink: net.removeLink(ev.a, ev.b, ev.line); return;
+    default: net.reshape(ev); return;  // structural: MemberGraph::apply
   }
-  DIVA_CHECK_MSG(false, "unknown fault kind");
 }
 
 void scheduleFaultPlan(sim::Engine& engine, Network& net, const FaultPlan& plan,

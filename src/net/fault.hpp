@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "net/topology.hpp"
@@ -70,9 +71,14 @@ using FaultPlan = std::vector<FaultEvent>;
 /// Scenario-format keyword for a fault kind ("link-down", "node-up", …).
 const char* faultKindName(FaultEvent::Kind kind);
 
+/// " (scenario line N)" for an event parsed from a scenario file (`line`
+/// > 0), empty otherwise: the suffix of every event validation message.
+std::string atLine(int line);
+
 /// Apply one fault to the network immediately. Validates endpoints:
 /// throws CheckError on out-of-range nodes, non-adjacent link endpoints
-/// or non-positive degrade multipliers.
+/// or non-positive degrade multipliers; structural events go through
+/// Network::reshape and its MemberGraph rules.
 void applyFault(Network& net, const FaultEvent& ev);
 
 /// Schedule every event of `plan` at `base + offsetUs` on the engine.

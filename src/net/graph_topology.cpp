@@ -566,7 +566,7 @@ GraphSpec parseGraph(const std::string& text) {
       r.fail("unknown directive '", r.word(), "'");
     }
   }
-  DIVA_CHECK_MSG(g.numNodes >= 0, "graph file has no 'nodes' line");
+  DIVA_REQUIRE(g.numNodes >= 0, "graph file has no 'nodes' line");
   return g;
 }
 

@@ -1,7 +1,6 @@
 #include "net/network.hpp"
 
 #include <algorithm>
-#include <string>
 #include <unordered_map>
 
 namespace diva::net {
@@ -11,12 +10,6 @@ namespace {
 /// the first 16, applications hand out consecutive values above that); the
 /// dense per-(channel, node) dispatch tables rely on it.
 constexpr Channel kMaxChannels = 1u << 16;
-
-/// Error-message suffix for scripted reconfigurations: run-time validation
-/// failures point back at the scenario line that scheduled the event.
-std::string atLine(int line) {
-  return line > 0 ? " (scenario line " + std::to_string(line) + ")" : std::string();
-}
 
 /// Directed endpoint pair as a map key (node ids are 31-bit).
 std::uint64_t pairKey(NodeId from, NodeId to) {
@@ -44,7 +37,8 @@ Network::Network(sim::Engine& engine, const Topology& topology, CostModel cost,
       topo_(&topology),
       cost_(cost),
       stats_(&stats),
-      numNodes_(static_cast<std::size_t>(topology.numNodes())) {
+      numNodes_(static_cast<std::size_t>(topology.numNodes())),
+      shape_(topology) {
   cpuFreeAt_.assign(numNodes_, sim::kTimeZero);
   linkFreeAt_.assign(static_cast<std::size_t>(topology.numLinkSlots()), sim::kTimeZero);
   linkUsPerByte_.resize(linkFreeAt_.size());
@@ -57,9 +51,6 @@ Network::Network(sim::Engine& engine, const Topology& topology, CostModel cost,
   linkAlive_.assign(linkFreeAt_.size(), 1);
   nodeAlive_.assign(numNodes_, 1);
   liveNodes_ = static_cast<int>(numNodes_);
-  nodeMember_.assign(numNodes_, 1);
-  members_.resize(numNodes_);
-  for (std::size_t n = 0; n < numNodes_; ++n) members_[n] = static_cast<NodeId>(n);
   // The library protocol channels exist on every machine; size for them up
   // front so the common dispatch never grows mid-run.
   handlers_.resize(static_cast<std::size_t>(kFirstAppChannel) * numNodes_);
@@ -384,127 +375,32 @@ sim::Task<Message> Network::recvOn(Network& net, NodeId node, Channel channel) {
 // Structural reconfiguration (docs/faults.md "Reconfiguration")
 // ---------------------------------------------------------------------------
 
-void Network::ensureElastic(int line) {
-  if (elastic_) return;
-  const GraphSpec* g = topo_->graph();
-  DIVA_CHECK_MSG(g != nullptr,
-                 "structural reconfiguration requires a graph-backed topology; '"
-                     << topo_->name() << "' cannot grow or shrink" << atLine(line));
-  currentSpec_ = *g;
-  currentSpec_.allowIsolated = true;
-  elastic_ = true;
-}
-
-bool Network::membersConnectedWithout(NodeId dropNode, NodeId dropU,
-                                      NodeId dropV) const {
-  // BFS over currentSpec_'s edges (member↔member by construction — a
-  // retiring node's edges were moved out) minus the dropped element.
-  std::vector<std::vector<NodeId>> adj(static_cast<std::size_t>(currentSpec_.numNodes));
-  for (const GraphSpec::Edge& e : currentSpec_.edges) {
-    if (e.u == dropNode || e.v == dropNode) continue;
-    if ((e.u == dropU && e.v == dropV) || (e.u == dropV && e.v == dropU)) continue;
-    adj[static_cast<std::size_t>(e.u)].push_back(e.v);
-    adj[static_cast<std::size_t>(e.v)].push_back(e.u);
-  }
-  NodeId start = -1;
-  std::size_t want = 0;
-  for (NodeId m : members_)
-    if (m != dropNode) {
-      if (start < 0) start = m;
-      ++want;
-    }
-  if (want <= 1) return true;
-  std::vector<std::uint8_t> seen(static_cast<std::size_t>(currentSpec_.numNodes), 0);
-  std::vector<NodeId> queue{start};
-  seen[static_cast<std::size_t>(start)] = 1;
-  std::size_t reached = 1;
-  for (std::size_t head = 0; head < queue.size(); ++head)
-    for (NodeId nb : adj[static_cast<std::size_t>(queue[head])])
-      if (!seen[static_cast<std::size_t>(nb)]) {
-        seen[static_cast<std::size_t>(nb)] = 1;
-        ++reached;
-        queue.push_back(nb);
-      }
-  return reached == want;
+void Network::reshape(const FaultEvent& ev) {
+  // Membership (and with it the strategies' management state) changes
+  // now; a removed node's links stay installed until commitReconfig() so
+  // in-flight messages addressed to it still arrive.
+  const std::vector<GraphSpec::Edge> severed = shape_.apply(ev);
+  retainedEdges_.insert(retainedEdges_.end(), severed.begin(), severed.end());
+  scheduleReconfigNotify();
 }
 
 NodeId Network::addNode(NodeId anchor, double weight, double latency, int line) {
-  ensureElastic(line);
-  DIVA_CHECK_MSG(nodeMember(anchor), "add-node: anchor " << anchor
-                                                         << " is not a member node"
-                                                         << atLine(line));
-  DIVA_CHECK_MSG(weight > 0.0 && latency > 0.0,
-                 "add-node: edge weight and latency must be positive" << atLine(line));
-  const NodeId id = currentSpec_.numNodes++;
-  currentSpec_.edges.push_back(GraphSpec::Edge{anchor, id, weight, latency});
-  nodeMember_.push_back(1);
-  members_.push_back(id);
-  scheduleReconfigNotify();
-  return id;
+  reshape({.kind = FaultEvent::Kind::AddNode, .a = anchor, .weightMul = weight,
+           .latencyMul = latency, .line = line});
+  return shape_.numNodes() - 1;
 }
 
 void Network::removeNode(NodeId n, int line) {
-  ensureElastic(line);
-  DIVA_CHECK_MSG(nodeMember(n),
-                 "remove-node: node " << n << " is not a member node" << atLine(line));
-  DIVA_CHECK_MSG(members_.size() > 1, "remove-node: removing node "
-                                          << n << " would empty the machine"
-                                          << atLine(line));
-  DIVA_CHECK_MSG(membersConnectedWithout(n, -1, -1),
-                 "remove-node: removing node " << n << " would disconnect the machine"
-                                               << atLine(line));
-  // Membership (and with it the strategies' management state) changes now;
-  // the node's links stay installed until commitReconfig() so in-flight
-  // messages addressed to it still arrive.
-  auto& edges = currentSpec_.edges;
-  for (auto it = edges.begin(); it != edges.end();) {
-    if (it->u == n || it->v == n) {
-      retainedEdges_.push_back(*it);
-      it = edges.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  nodeMember_[static_cast<std::size_t>(n)] = 0;
-  members_.erase(std::find(members_.begin(), members_.end(), n));
-  retiring_.push_back(n);
-  scheduleReconfigNotify();
+  reshape({.kind = FaultEvent::Kind::RemoveNode, .a = n, .line = line});
 }
 
 void Network::addLink(NodeId u, NodeId v, double weight, double latency, int line) {
-  ensureElastic(line);
-  DIVA_CHECK_MSG(nodeMember(u) && nodeMember(v) && u != v,
-                 "add-link: endpoints " << u << " and " << v
-                                        << " must be distinct member nodes"
-                                        << atLine(line));
-  DIVA_CHECK_MSG(weight > 0.0 && latency > 0.0,
-                 "add-link: edge weight and latency must be positive" << atLine(line));
-  for (const GraphSpec::Edge& e : currentSpec_.edges)
-    DIVA_CHECK_MSG(!((e.u == u && e.v == v) || (e.u == v && e.v == u)),
-                   "add-link: nodes " << u << " and " << v << " are already adjacent"
-                                      << atLine(line));
-  currentSpec_.edges.push_back(GraphSpec::Edge{u, v, weight, latency});
-  scheduleReconfigNotify();
+  reshape({.kind = FaultEvent::Kind::AddLink, .a = u, .b = v, .weightMul = weight,
+           .latencyMul = latency, .line = line});
 }
 
 void Network::removeLink(NodeId u, NodeId v, int line) {
-  ensureElastic(line);
-  DIVA_CHECK_MSG(nodeMember(u) && nodeMember(v),
-                 "remove-link: endpoints " << u << " and " << v
-                                           << " must be member nodes" << atLine(line));
-  auto& edges = currentSpec_.edges;
-  auto it = std::find_if(edges.begin(), edges.end(), [&](const GraphSpec::Edge& e) {
-    return (e.u == u && e.v == v) || (e.u == v && e.v == u);
-  });
-  DIVA_CHECK_MSG(it != edges.end(), "remove-link: nodes "
-                                        << u << " and " << v << " are not adjacent"
-                                        << atLine(line));
-  DIVA_CHECK_MSG(membersConnectedWithout(-1, u, v),
-                 "remove-link: cutting " << u << "—" << v
-                                         << " would disconnect the machine"
-                                         << atLine(line));
-  edges.erase(it);
-  scheduleReconfigNotify();
+  reshape({.kind = FaultEvent::Kind::RemoveLink, .a = u, .b = v, .line = line});
 }
 
 void Network::scheduleReconfigNotify() {
@@ -521,16 +417,17 @@ void Network::deliverReconfig() {
   notifyScheduled_ = false;
   // Routing during the handoff window uses the *transition* shape: the
   // logical target plus retiring nodes' retained edges.
+  const GraphSpec& target = shape_.graph();
   if (retainedEdges_.empty()) {
     targetTopo_.reset();  // transition == target
-    installTopology(topo_->withGraph(currentSpec_));
+    installTopology(topo_->withGraph(target));
   } else {
-    GraphSpec transition = currentSpec_;
+    GraphSpec transition = target;
     transition.edges.insert(transition.edges.end(), retainedEdges_.begin(),
                             retainedEdges_.end());
-    std::unique_ptr<Topology> target = topo_->withGraph(currentSpec_);
+    std::unique_ptr<Topology> built = topo_->withGraph(target);
     installTopology(topo_->withGraph(std::move(transition)));
-    targetTopo_ = std::move(target);
+    targetTopo_ = std::move(built);
   }
   ++reconfigEpoch_;
   if (tracer_ && tracer_->on(obs::kCatReconfig)) {
@@ -559,7 +456,6 @@ void Network::commitReconfig() {
   }
   openEpochSpans_.clear();
   retainedEdges_.clear();
-  retiring_.clear();
   // Install the very topology object strategies decomposed at the epoch —
   // their new trees must stay valid, and a tree must not outlive the
   // topology that built it.

@@ -8,6 +8,7 @@
 
 #include "mesh/link_stats.hpp"
 #include "net/cost_model.hpp"
+#include "net/member_graph.hpp"
 #include "net/message.hpp"
 #include "net/topology.hpp"
 #include "obs/tracer.hpp"
@@ -163,20 +164,24 @@ class Network {
   // reconfiguration-free runs stay bit-identical).
 
   /// Nodes currently part of the machine (alive or crashed, not retired).
-  int numMembers() const { return static_cast<int>(members_.size()); }
-  bool nodeMember(NodeId n) const {
-    return static_cast<std::size_t>(n) < nodeMember_.size() &&
-           nodeMember_[static_cast<std::size_t>(n)] != 0;
-  }
+  int numMembers() const { return shape_.numMembers(); }
+  bool nodeMember(NodeId n) const { return shape_.member(n); }
   /// Member with rank `r` in ascending id order (0 ≤ r < numMembers()).
-  NodeId memberAt(int r) const { return members_[static_cast<std::size_t>(r)]; }
-  const std::vector<NodeId>& members() const { return members_; }
+  NodeId memberAt(int r) const { return shape_.members()[static_cast<std::size_t>(r)]; }
+  const std::vector<NodeId>& members() const { return shape_.members(); }
+  /// The logical shape — membership and the rules every structural event
+  /// is validated by. The workload driver replays scripted events on a
+  /// copy of it before a run starts.
+  const MemberGraph& shape() const { return shape_; }
   /// Reconfiguration epochs delivered so far (0 = never reconfigured).
   int reconfigEpoch() const { return reconfigEpoch_; }
 
+  /// Apply one structural event (add-node, remove-node, add-link,
+  /// remove-link) to the logical shape, validated by MemberGraph (which
+  /// tags errors with `ev.line`), and schedule the coalesced epoch.
+  void reshape(const FaultEvent& ev);
   /// Grow the machine by one node, joined to member `anchor` by a fresh
   /// edge of the given weight/latency. The new node's id is returned.
-  /// `line` (> 0) tags validation errors with a scenario source line.
   NodeId addNode(NodeId anchor, double weight = 1.0, double latency = 1.0, int line = 0);
   /// Retire member `n` permanently. Rejects removals that would empty or
   /// disconnect the member set. Its links carry in-flight traffic until
@@ -269,8 +274,6 @@ class Network {
   static sim::Task<Message> recvOn(Network& net, NodeId node, Channel channel);
 
   // Structural reconfiguration internals (network.cpp has the epoch walk).
-  void ensureElastic(int line);
-  bool membersConnectedWithout(NodeId dropNode, NodeId dropU, NodeId dropV) const;
   void scheduleReconfigNotify();
   void deliverReconfig();
   /// Swap in a rebuilt topology: carries per-link FIFO backlog, liveness
@@ -336,14 +339,10 @@ class Network {
   // counters zero) on machines that never reconfigure.
   std::uint32_t topoEpoch_ = 0;    ///< bumped per installTopology; guards flights
   int reconfigEpoch_ = 0;          ///< delivered epochs (listener batches)
-  bool elastic_ = false;           ///< currentSpec_ captured from the topology
   bool notifyScheduled_ = false;   ///< coalesced epoch event pending this instant
-  GraphSpec currentSpec_;          ///< the logical target graph (members only)
+  MemberGraph shape_;              ///< membership + the logical target graph
   std::vector<GraphSpec::Edge> retainedEdges_;  ///< retiring nodes' edges, kept
                                                 ///< installed until commit
-  std::vector<NodeId> retiring_;   ///< removed, links not yet severed
-  std::vector<std::uint8_t> nodeMember_;  ///< 1 = member, 0 = retired
-  std::vector<NodeId> members_;           ///< member ids, ascending
   std::vector<ReconfigListener> reconfigListeners_;  ///< token-indexed
   std::vector<std::unique_ptr<Topology>> ownedTopos_;  ///< rebuilt shapes, kept
                                                        ///< alive for old trees

@@ -68,23 +68,10 @@ void Sampler::bindMachine(const Machine& m) {
   r.gauge("links/total_bytes", [mp] {
     return static_cast<double>(mp->stats.links.totalBytes());
   });
-  const Stats::Counters* ops = &m.stats.ops;
-  r.counter("ops/reads", &ops->reads);
-  r.counter("ops/read_hits", &ops->readHits);
-  r.counter("ops/writes", &ops->writes);
-  r.counter("ops/invalidations", &ops->invalidations);
-  r.counter("ops/locks", &ops->locks);
-  r.counter("ops/failed_ops", &ops->failedOps);
-  r.counter("ops/retried_ops", &ops->retriedOps);
-  r.counter("ops/repaired_vars", &ops->repairedVars);
-  r.counter("ops/recovery_messages", &ops->recoveryMessages);
-  r.counter("ops/recovery_bytes", &ops->recoveryBytes);
-  // Migration traffic over time: the counters the reconfiguration
-  // subsystem charges (docs/faults.md "Reconfiguration").
-  r.counter("ops/migrated_vars", &ops->migratedVars);
-  r.counter("ops/migration_messages", &ops->migrationMessages);
-  r.counter("ops/migration_bytes", &ops->migrationBytes);
-  r.counter("ops/forwarded_ops", &ops->forwardedOps);
+  // Every operation counter, repair and migration traffic included
+  // (docs/faults.md), under its Stats::kCounterFields key.
+  for (const Stats::CounterField& f : Stats::kCounterFields)
+    r.counter(std::string("ops/") + f.key, &(m.stats.ops.*f.field));
 }
 
 void Sampler::phaseBegin(int phase) {

@@ -69,19 +69,19 @@ const char* arrivalKindName(ArrivalSpec::Kind kind) {
 
 void ArrivalSpec::validate(const char* context) const {
   if (kind == Kind::None) {
-    DIVA_CHECK_MSG(ratePerSec == 0.0 && burstOnUs == 0.0 && burstOffUs == 0.0,
-                   context << ": closed-loop phases must not set arrival parameters");
+    DIVA_REQUIRE(ratePerSec == 0.0 && burstOnUs == 0.0 && burstOffUs == 0.0,
+                 context << ": closed-loop phases must not set arrival parameters");
     return;
   }
-  DIVA_CHECK_MSG(ratePerSec > 0.0, context << ": arrival rate must be positive (got "
-                                           << ratePerSec << ")");
+  DIVA_REQUIRE(ratePerSec > 0.0, context << ": arrival rate must be positive (got "
+                                         << ratePerSec << ")");
   if (kind == Kind::Burst) {
-    DIVA_CHECK_MSG(burstOnUs > 0.0 && burstOffUs > 0.0,
-                   context << ": burst on/off windows must be positive (got "
-                           << burstOnUs << "/" << burstOffUs << ")");
+    DIVA_REQUIRE(burstOnUs > 0.0 && burstOffUs > 0.0,
+                 context << ": burst on/off windows must be positive (got "
+                         << burstOnUs << "/" << burstOffUs << ")");
   } else {
-    DIVA_CHECK_MSG(burstOnUs == 0.0 && burstOffUs == 0.0,
-                   context << ": on/off windows only apply to burst arrivals");
+    DIVA_REQUIRE(burstOnUs == 0.0 && burstOffUs == 0.0,
+                 context << ": on/off windows only apply to burst arrivals");
   }
 }
 

@@ -49,14 +49,14 @@ Trace parseTrace(const std::string& text) {
     }
   }
   if (haveObjects) {
-    DIVA_CHECK_MSG(maxObject < trace.numObjects,
-                   "trace file: request object id " << maxObject
-                                                    << " outside declared population "
-                                                    << trace.numObjects);
+    DIVA_REQUIRE(maxObject < trace.numObjects,
+                 "trace file: request object id " << maxObject
+                                                  << " outside declared population "
+                                                  << trace.numObjects);
   } else {
     trace.numObjects = maxObject + 1;
   }
-  DIVA_CHECK_MSG(!trace.requests.empty(), "trace file has no request lines");
+  DIVA_REQUIRE(!trace.requests.empty(), "trace file has no request lines");
   return trace;
 }
 

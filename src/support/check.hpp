@@ -38,3 +38,13 @@ class CheckError : public std::logic_error {
     if (!(cond)) ::diva::support::checkFailed(#cond, __FILE__, __LINE__, \
                                               (std::ostringstream{} << msg).str()); \
   } while (0)
+
+/// DIVA_REQUIRE(cond, "message") — always-on check of caller input
+/// (scenario values, scripted reconfigurations): throws CheckError with
+/// the message alone, so a bad input reads as an input problem rather
+/// than an assertion with a source path.
+#define DIVA_REQUIRE(cond, msg)                                           \
+  do {                                                                    \
+    if (!(cond))                                                          \
+      throw ::diva::support::CheckError((std::ostringstream{} << msg).str()); \
+  } while (0)

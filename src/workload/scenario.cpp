@@ -118,8 +118,8 @@ WorkloadSpec parseScenario(const std::string& text) {
       r.fail("unknown directive '", word, "'");
     }
   }
-  DIVA_CHECK_MSG(haveObjects, "scenario file has no 'objects' line");
-  DIVA_CHECK_MSG(!spec.phases.empty(), "scenario file has no 'phase' line");
+  DIVA_REQUIRE(haveObjects, "scenario file has no 'objects' line");
+  DIVA_REQUIRE(!spec.phases.empty(), "scenario file has no 'phase' line");
   spec.validate();
   return spec;
 }

@@ -29,91 +29,87 @@ bool singleToken(const std::string& s) {
   return !s.empty() && s.find_first_of(" \t\r\n#") == std::string::npos;
 }
 
-/// " (scenario line N)" when the event came from a scenario file.
-std::string atLine(int line) {
-  return line > 0 ? " (scenario line " + std::to_string(line) + ")" : std::string();
-}
-
 }  // namespace
 
 void WorkloadSpec::validate() const {
-  DIVA_CHECK_MSG(singleToken(name),
-                 "workload name '" << name << "' must be one whitespace-free token "
-                                      "(scenario files store names as single tokens)");
+  DIVA_REQUIRE(singleToken(name),
+               "workload name '" << name << "' must be one whitespace-free token "
+                                    "(scenario files store names as single tokens)");
   for (const PhaseSpec& ph : phases) {
-    DIVA_CHECK_MSG(singleToken(ph.name),
-                   "workload '" << name << "': phase name '" << ph.name
-                                << "' must be one whitespace-free token");
-  }
-  DIVA_CHECK_MSG(numObjects >= 1,
-                 "workload '" << name << "': numObjects must be positive (got "
-                              << numObjects << ")");
-  DIVA_CHECK_MSG(objectBytes >= 1,
-                 "workload '" << name << "': objectBytes must be positive");
-  DIVA_CHECK_MSG(procs >= 0, "workload '" << name << "': procs must be >= 0");
-  DIVA_CHECK_MSG(topology.empty() || singleToken(topology),
-                 "workload '" << name << "': topology name '" << topology
+    DIVA_REQUIRE(singleToken(ph.name),
+                 "workload '" << name << "': phase name '" << ph.name
                               << "' must be one whitespace-free token");
-  DIVA_CHECK_MSG(!phases.empty(), "workload '" << name << "': needs at least one phase");
-  DIVA_CHECK_MSG(phases.size() <= 64,
-                 "workload '" << name << "': too many phases (" << phases.size()
-                              << " > 64) — per-phase link cells would dominate memory");
+  }
+  DIVA_REQUIRE(numObjects >= 1,
+               "workload '" << name << "': numObjects must be positive (got "
+                            << numObjects << ")");
+  DIVA_REQUIRE(objectBytes >= 1,
+               "workload '" << name << "': objectBytes must be positive");
+  DIVA_REQUIRE(procs >= 0, "workload '" << name << "': procs must be >= 0");
+  DIVA_REQUIRE(topology.empty() || singleToken(topology),
+               "workload '" << name << "': topology name '" << topology
+                            << "' must be one whitespace-free token");
+  DIVA_REQUIRE(!phases.empty(), "workload '" << name << "': needs at least one phase");
+  DIVA_REQUIRE(phases.size() <= 64,
+               "workload '" << name << "': too many phases (" << phases.size()
+                            << " > 64) — per-phase link cells would dominate memory");
   for (const PhaseSpec& ph : phases) {
-    DIVA_CHECK_MSG(ph.rounds >= 0, "workload '" << name << "' phase '" << ph.name
-                                                << "': rounds must be >= 0");
-    DIVA_CHECK_MSG(ph.readFraction >= 0.0 && ph.readFraction <= 1.0,
-                   "workload '" << name << "' phase '" << ph.name
-                                << "': readFraction must be in [0, 1] (got "
-                                << ph.readFraction << ")");
+    DIVA_REQUIRE(ph.rounds >= 0, "workload '" << name << "' phase '" << ph.name
+                                              << "': rounds must be >= 0");
+    DIVA_REQUIRE(ph.readFraction >= 0.0 && ph.readFraction <= 1.0,
+                 "workload '" << name << "' phase '" << ph.name
+                              << "': readFraction must be in [0, 1] (got "
+                              << ph.readFraction << ")");
     // Bounded at kMaxZipfExponent so every accepted integral exponent
     // takes the exact-arithmetic weight path (the bit-stability guarantee
     // committed scenarios rely on); beyond it the distribution is
     // degenerate anyway (rank 0 takes everything).
-    DIVA_CHECK_MSG(ph.zipfS >= 0.0 && ph.zipfS <= ZipfSampler::kMaxExponent,
-                   "workload '" << name << "' phase '" << ph.name
-                                << "': zipf exponent must be in [0, "
-                                << ZipfSampler::kMaxExponent << "] (got " << ph.zipfS
-                                << ")");
-    DIVA_CHECK_MSG(ph.hotShift >= 0, "workload '" << name << "' phase '" << ph.name
-                                                  << "': hotShift must be >= 0");
-    DIVA_CHECK_MSG(ph.thinkMeanUs >= 0.0, "workload '" << name << "' phase '" << ph.name
-                                                       << "': think time must be >= 0");
+    DIVA_REQUIRE(ph.zipfS >= 0.0 && ph.zipfS <= ZipfSampler::kMaxExponent,
+                 "workload '" << name << "' phase '" << ph.name
+                              << "': zipf exponent must be in [0, "
+                              << ZipfSampler::kMaxExponent << "] (got " << ph.zipfS
+                              << ")");
+    DIVA_REQUIRE(ph.hotShift >= 0, "workload '" << name << "' phase '" << ph.name
+                                                << "': hotShift must be >= 0");
+    DIVA_REQUIRE(ph.thinkMeanUs >= 0.0, "workload '" << name << "' phase '" << ph.name
+                                                     << "': think time must be >= 0");
     for (const net::FaultEvent& ev : ph.faults) {
-      DIVA_CHECK_MSG(ev.offsetUs >= 0.0, "workload '" << name << "' phase '" << ph.name
-                                                      << "': fault offset must be >= 0"
-                                                      << atLine(ev.line));
-      DIVA_CHECK_MSG(ev.a >= 0 && ev.b >= 0,
-                     "workload '" << name << "' phase '" << ph.name
-                                  << "': fault endpoints must be >= 0" << atLine(ev.line));
-      DIVA_CHECK_MSG(ev.weightMul > 0.0 && ev.latencyMul > 0.0,
-                     "workload '" << name << "' phase '" << ph.name
-                                  << "': degrade multipliers / new-edge parameters "
-                                     "must be positive"
-                                  << atLine(ev.line));
+      DIVA_REQUIRE(ev.offsetUs >= 0.0, "workload '" << name << "' phase '" << ph.name
+                                                    << "': fault offset must be >= 0"
+                                                    << net::atLine(ev.line));
+      DIVA_REQUIRE(ev.a >= 0 && ev.b >= 0,
+                   "workload '" << name << "' phase '" << ph.name
+                                << "': fault endpoints must be >= 0"
+                                << net::atLine(ev.line));
+      DIVA_REQUIRE(ev.weightMul > 0.0 && ev.latencyMul > 0.0,
+                   "workload '" << name << "' phase '" << ph.name
+                                << "': degrade multipliers / new-edge parameters "
+                                   "must be positive"
+                                << net::atLine(ev.line));
     }
     // Open-loop serving parameters (docs/serving.md).
     const std::string ctx = "workload '" + name + "' phase '" + ph.name + "'";
     ph.arrival.validate(ctx.c_str());
-    DIVA_CHECK_MSG(ph.deadlineUs >= 0.0, ctx << ": deadline must be >= 0");
-    DIVA_CHECK_MSG(ph.queueLimit >= 0, ctx << ": queue limit must be >= 0");
-    DIVA_CHECK_MSG(ph.openLoop() || (ph.deadlineUs == 0.0 && ph.queueLimit == 0),
-                   ctx << ": 'deadline'/'queue' only apply to open-loop phases "
-                          "(set an 'arrival' or 'trace')");
+    DIVA_REQUIRE(ph.deadlineUs >= 0.0, ctx << ": deadline must be >= 0");
+    DIVA_REQUIRE(ph.queueLimit >= 0, ctx << ": queue limit must be >= 0");
+    DIVA_REQUIRE(ph.openLoop() || (ph.deadlineUs == 0.0 && ph.queueLimit == 0),
+                 ctx << ": 'deadline'/'queue' only apply to open-loop phases "
+                        "(set an 'arrival' or 'trace')");
     if (ph.arrival.open()) {
       // Pacing comes from the arrival schedule; think time would silently
       // stretch service times and muddy the queueing-delay measurement.
-      DIVA_CHECK_MSG(ph.thinkMeanUs == 0.0,
-                     ctx << ": open-loop phases must not set think time "
-                            "(the arrival schedule is the pacing)");
+      DIVA_REQUIRE(ph.thinkMeanUs == 0.0,
+                   ctx << ": open-loop phases must not set think time "
+                          "(the arrival schedule is the pacing)");
     }
     if (!ph.tracePath.empty()) {
-      DIVA_CHECK_MSG(singleToken(ph.tracePath),
-                     ctx << ": trace path must be one whitespace-free token");
-      DIVA_CHECK_MSG(!ph.arrival.open() && ph.rounds == 1 && ph.readFraction == 1.0 &&
-                         ph.zipfS == 0.0 && ph.hotShift == 0 && ph.thinkMeanUs == 0.0,
-                     ctx << ": trace phases take arrivals and accesses from the trace "
-                            "file — rounds/reads/zipf/hotshift/think/arrival must stay "
-                            "at their defaults");
+      DIVA_REQUIRE(singleToken(ph.tracePath),
+                   ctx << ": trace path must be one whitespace-free token");
+      DIVA_REQUIRE(!ph.arrival.open() && ph.rounds == 1 && ph.readFraction == 1.0 &&
+                       ph.zipfS == 0.0 && ph.hotShift == 0 && ph.thinkMeanUs == 0.0,
+                   ctx << ": trace phases take arrivals and accesses from the trace "
+                          "file — rounds/reads/zipf/hotshift/think/arrival must stay "
+                          "at their defaults");
     }
   }
 }
@@ -171,16 +167,15 @@ constexpr double kRetryBackoffUs = 500.0;
 constexpr int kMaxOpRetries = 20;
 
 /// Evolving-shape pre-flight (docs/faults.md "Reconfiguration"): replay
-/// every phase's fault plan against a model of the machine's shape, in
-/// firing order, and validate each event against the shape it will
-/// actually meet at run time — endpoint ids against the CURRENT node
-/// count (which `add-node` grows), membership for structural endpoints,
-/// and `remove-node`/`remove-link` against member connectivity (the
-/// routing rebuild would otherwise fail deep inside an engine event).
-/// All of this happens before anything is scheduled, with line-numbered
-/// errors for scenario-sourced events. The recorded per-phase-start
-/// shape sizes spawning and arrival plans: nodes added during a phase
-/// join the driver at the next phase boundary.
+/// every phase's fault plan, in firing order, on a copy of the machine's
+/// shape (net::MemberGraph — the network's own rules), so each event is
+/// validated against the shape it will actually meet at run time:
+/// transient-fault endpoints against the CURRENT node-id space (which
+/// `add-node` grows), structural events by the very mutation the network
+/// applies. All of this happens before anything is scheduled, with
+/// line-numbered errors for scenario-sourced events. The recorded
+/// per-phase-start shape sizes spawning and arrival plans: nodes added
+/// during a phase join the driver at the next phase boundary.
 struct ShapeTimeline {
   bool reconfigured = false;    ///< some phase scripts a structural event
   std::vector<int> phaseProcs;  ///< node-id space at each phase start
@@ -189,67 +184,10 @@ struct ShapeTimeline {
 
 ShapeTimeline simulateShape(const WorkloadSpec& spec, const Machine& m) {
   ShapeTimeline tl;
-  int count = m.net.numNodes();
-  std::vector<std::uint8_t> member(static_cast<std::size_t>(count), 0);
-  for (net::NodeId n = 0; n < count; ++n)
-    member[static_cast<std::size_t>(n)] = m.net.nodeMember(n) ? 1 : 0;
-  // Undirected member↔member edges; nullptr for closed-form shapes,
-  // which range-check fine but cannot reconfigure. The committed shape
-  // has no edges into already-retired nodes, so the list starts clean.
-  const net::GraphSpec* g = m.net.topology().graph();
-  std::vector<std::pair<net::NodeId, net::NodeId>> edges;
-  if (g != nullptr) {
-    edges.reserve(g->edges.size());
-    for (const net::GraphSpec::Edge& e : g->edges)
-      edges.emplace_back(std::min(e.u, e.v), std::max(e.u, e.v));
-  }
-  const auto hasEdge = [&edges](net::NodeId u, net::NodeId v) {
-    const auto key = std::make_pair(std::min(u, v), std::max(u, v));
-    return std::find(edges.begin(), edges.end(), key) != edges.end();
-  };
-  // Members still mutually reachable when `skipNode` (or the edge
-  // `skipU`—`skipV`) is taken out: DFS over the edge list. O(members ·
-  // edges) worst case — fault plans are tiny.
-  const auto connectedWithout = [&](net::NodeId skipNode, net::NodeId skipU,
-                                    net::NodeId skipV) {
-    int want = 0;
-    net::NodeId start = -1;
-    for (net::NodeId n = 0; n < count; ++n) {
-      if (!member[static_cast<std::size_t>(n)] || n == skipNode) continue;
-      ++want;
-      if (start < 0) start = n;
-    }
-    if (want <= 1) return true;
-    std::vector<std::uint8_t> seen(static_cast<std::size_t>(count), 0);
-    std::vector<net::NodeId> stack{start};
-    seen[static_cast<std::size_t>(start)] = 1;
-    int got = 1;
-    while (!stack.empty()) {
-      const net::NodeId u = stack.back();
-      stack.pop_back();
-      for (const auto& [ea, eb] : edges) {
-        if (ea == skipU && eb == skipV) continue;
-        if (ea == skipNode || eb == skipNode) continue;
-        net::NodeId v;
-        if (ea == u) {
-          v = eb;
-        } else if (eb == u) {
-          v = ea;
-        } else {
-          continue;
-        }
-        if (seen[static_cast<std::size_t>(v)]) continue;
-        seen[static_cast<std::size_t>(v)] = 1;
-        ++got;
-        stack.push_back(v);
-      }
-    }
-    return got == want;
-  };
-
+  net::MemberGraph shape = m.net.shape();
   for (const PhaseSpec& ph : spec.phases) {
-    tl.phaseProcs.push_back(count);
-    tl.phaseMember.push_back(member);
+    tl.phaseProcs.push_back(shape.numNodes());
+    tl.phaseMember.push_back(shape.memberFlags());
     // Events apply in firing order: time-ascending, plan order within an
     // instant (exactly how scheduleFaultPlan delivers them).
     std::vector<const net::FaultEvent*> order;
@@ -259,85 +197,20 @@ ShapeTimeline simulateShape(const WorkloadSpec& spec, const Machine& m) {
                      [](const net::FaultEvent* x, const net::FaultEvent* y) {
                        return x->offsetUs < y->offsetUs;
                      });
-    for (const net::FaultEvent* pe : order) {
-      const net::FaultEvent& ev = *pe;
-      if (!net::isStructural(ev.kind)) {
-        DIVA_CHECK_MSG(ev.a < count && ev.b < count,
-                       "workload '" << spec.name << "' phase '" << ph.name
-                                    << "': fault " << net::faultKindName(ev.kind)
-                                    << " endpoint out of range for a " << count
-                                    << "-processor machine" << atLine(ev.line));
+    const std::string ctx = "workload '" + spec.name + "' phase '" + ph.name + "': ";
+    for (const net::FaultEvent* ev : order) {
+      if (!net::isStructural(ev->kind)) {
+        DIVA_REQUIRE(ev->a < shape.numNodes() && ev->b < shape.numNodes(),
+                     ctx << "fault " << net::faultKindName(ev->kind)
+                         << " endpoint out of range for a " << shape.numNodes()
+                         << "-processor machine" << net::atLine(ev->line));
         continue;
       }
       tl.reconfigured = true;
-      DIVA_CHECK_MSG(g != nullptr,
-                     "workload '" << spec.name << "' phase '" << ph.name
-                                  << "': structural reconfiguration requires a "
-                                     "graph-backed topology; '"
-                                  << m.topo().name() << "' cannot grow or shrink"
-                                  << atLine(ev.line));
-      const auto isMember = [&](net::NodeId n) {
-        return n >= 0 && n < count && member[static_cast<std::size_t>(n)] != 0;
-      };
-      switch (ev.kind) {
-        case net::FaultEvent::Kind::AddNode: {
-          DIVA_CHECK_MSG(isMember(ev.a),
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': add-node anchor " << ev.a
-                                      << " is not a member of the " << count
-                                      << "-node machine" << atLine(ev.line));
-          member.push_back(1);
-          edges.emplace_back(ev.a, static_cast<net::NodeId>(count));
-          ++count;
-          break;
-        }
-        case net::FaultEvent::Kind::RemoveNode: {
-          DIVA_CHECK_MSG(isMember(ev.a),
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': remove-node " << ev.a
-                                      << " is not a member of the " << count
-                                      << "-node machine" << atLine(ev.line));
-          DIVA_CHECK_MSG(connectedWithout(ev.a, -1, -1),
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': remove-node " << ev.a
-                                      << " would disconnect the machine"
-                                      << atLine(ev.line));
-          member[static_cast<std::size_t>(ev.a)] = 0;
-          std::erase_if(edges, [&ev](const std::pair<net::NodeId, net::NodeId>& e) {
-            return e.first == ev.a || e.second == ev.a;
-          });
-          break;
-        }
-        case net::FaultEvent::Kind::AddLink: {
-          DIVA_CHECK_MSG(isMember(ev.a) && isMember(ev.b) && ev.a != ev.b,
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': add-link " << ev.a << "—" << ev.b
-                                      << " endpoints must be distinct members of the "
-                                      << count << "-node machine" << atLine(ev.line));
-          DIVA_CHECK_MSG(!hasEdge(ev.a, ev.b),
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': add-link " << ev.a << "—" << ev.b
-                                      << " already exists" << atLine(ev.line));
-          edges.emplace_back(std::min(ev.a, ev.b), std::max(ev.a, ev.b));
-          break;
-        }
-        case net::FaultEvent::Kind::RemoveLink: {
-          DIVA_CHECK_MSG(hasEdge(ev.a, ev.b),
-                         "workload '" << spec.name << "' phase '" << ph.name
-                                      << "': remove-link " << ev.a << "—" << ev.b
-                                      << " is not an edge of the machine"
-                                      << atLine(ev.line));
-          DIVA_CHECK_MSG(
-              connectedWithout(-1, std::min(ev.a, ev.b), std::max(ev.a, ev.b)),
-              "workload '" << spec.name << "' phase '" << ph.name << "': remove-link "
-                           << ev.a << "—" << ev.b << " would disconnect the machine"
-                           << atLine(ev.line));
-          std::erase(edges,
-                     std::make_pair(std::min(ev.a, ev.b), std::max(ev.a, ev.b)));
-          break;
-        }
-        default:
-          break;  // non-structural kinds handled above
+      try {
+        shape.apply(*ev);
+      } catch (const support::CheckError& e) {
+        throw support::CheckError(ctx + e.what());
       }
     }
   }
@@ -584,22 +457,22 @@ std::vector<PhaseServePlan> buildServePlans(const WorkloadSpec& spec,
     if (!ph.tracePath.empty()) {
       plan.fromTrace = true;
       const serve::Trace trace = serve::loadTraceFile(ph.tracePath);
-      DIVA_CHECK_MSG(trace.numObjects <= spec.numObjects,
-                     "workload '" << spec.name << "' phase '" << ph.name << "': trace '"
-                                  << ph.tracePath << "' uses " << trace.numObjects
-                                  << " objects but the workload only has "
-                                  << spec.numObjects);
+      DIVA_REQUIRE(trace.numObjects <= spec.numObjects,
+                   "workload '" << spec.name << "' phase '" << ph.name << "': trace '"
+                                << ph.tracePath << "' uses " << trace.numObjects
+                                << " objects but the workload only has "
+                                << spec.numObjects);
       double lastUs = 0.0;
       for (const serve::TraceRequest& req : trace.requests) {
-        DIVA_CHECK_MSG(req.node < procs,
-                       "workload '" << spec.name << "' phase '" << ph.name
-                                    << "': trace node " << req.node
-                                    << " out of range for a " << procs
-                                    << "-processor machine");
-        DIVA_CHECK_MSG(member[static_cast<std::size_t>(req.node)] != 0,
-                       "workload '" << spec.name << "' phase '" << ph.name
-                                    << "': trace node " << req.node
-                                    << " has left the machine by this phase");
+        DIVA_REQUIRE(req.node < procs,
+                     "workload '" << spec.name << "' phase '" << ph.name
+                                  << "': trace node " << req.node
+                                  << " out of range for a " << procs
+                                  << "-processor machine");
+        DIVA_REQUIRE(member[static_cast<std::size_t>(req.node)] != 0,
+                     "workload '" << spec.name << "' phase '" << ph.name
+                                  << "': trace node " << req.node
+                                  << " has left the machine by this phase");
         NodeServePlan& np = plan.nodes[static_cast<std::size_t>(req.node)];
         np.timesUs.push_back(req.timeUs);
         np.isRead.push_back(req.isRead ? 1 : 0);
@@ -856,15 +729,7 @@ WorkloadReport run(Machine& m, Runtime& rt, const WorkloadSpec& spec,
     pr.linkBytes = m.stats.links.totalBytes(p);
     pr.congestionMessages = m.stats.links.congestionMessages(p);
     pr.congestionBytes = m.stats.links.congestionBytes(p);
-    pr.reads = m.stats.ops.reads - opsBefore.reads;
-    pr.readHits = m.stats.ops.readHits - opsBefore.readHits;
-    pr.writes = m.stats.ops.writes - opsBefore.writes;
-    pr.invalidations = m.stats.ops.invalidations - opsBefore.invalidations;
-    pr.locks = m.stats.ops.locks - opsBefore.locks;
-    pr.failedOps = m.stats.ops.failedOps - opsBefore.failedOps;
-    pr.retriedOps = m.stats.ops.retriedOps - opsBefore.retriedOps;
-    pr.recoveryMessages = m.stats.ops.recoveryMessages - opsBefore.recoveryMessages;
-    pr.recoveryBytes = m.stats.ops.recoveryBytes - opsBefore.recoveryBytes;
+    pr.ops = m.stats.ops.since(opsBefore);
     if (servePlan.active) {
       fillServeMetrics(pr.serve, serveState, servePlan.offeredPerSec, pr.wallUs);
       totalHist.merge(serveState.hist);
@@ -891,26 +756,19 @@ WorkloadReport run(Machine& m, Runtime& rt, const WorkloadSpec& spec,
   report.congestionMessages = m.stats.links.congestionMessages();
   report.congestionBytes = m.stats.links.congestionBytes();
 
+  report.ops = m.stats.ops;
   report.faulted = faulted;
-  report.servedOps = m.stats.ops.reads + m.stats.ops.writes;
-  report.failedOps = m.stats.ops.failedOps;
-  report.retriedOps = m.stats.ops.retriedOps;
+  report.servedOps = report.ops.reads + report.ops.writes;
+  report.failedOps = report.ops.failedOps;
   const std::uint64_t attempted = report.servedOps + report.failedOps;
   report.availability =
       attempted ? static_cast<double>(report.servedOps) / static_cast<double>(attempted)
                 : 1.0;
-  report.recoveryMessages = m.stats.ops.recoveryMessages;
-  report.recoveryBytes = m.stats.ops.recoveryBytes;
-  report.repairedVars = m.stats.ops.repairedVars;
   report.reroutedFlights = m.net.reroutedFlights() - reroutedBefore;
   report.parkedFlights = m.net.parkedFlights() - parkedBefore;
   report.reconfigured = tl.reconfigured;
   report.reconfigEpochs =
       static_cast<std::uint64_t>(m.net.reconfigEpoch() - epochsBefore);
-  report.migratedVars = m.stats.ops.migratedVars;
-  report.migrationMessages = m.stats.ops.migrationMessages;
-  report.migrationBytes = m.stats.ops.migrationBytes;
-  report.forwardedOps = m.stats.ops.forwardedOps;
 
   if (std::any_of(servePlans.begin(), servePlans.end(),
                   [](const PhaseServePlan& pl) { return pl.active; })) {
@@ -966,8 +824,7 @@ namespace {
 
 // Column descriptors shared by formatReport (text layout) and
 // registerReport (JSON keys): one source of truth, so adding a column
-// changes both renderings together. `runCell` is null for columns the
-// total row leaves blank.
+// changes both renderings together.
 struct PhaseCol {
   const char* header;  ///< text-table column header
   const char* key;     ///< registry key under phase/<i>/
@@ -1002,23 +859,47 @@ const PhaseCol kPhaseCols[] = {
      [](const WorkloadReport::Phase& p) { return static_cast<double>(p.congestionBytes); },
      [](const WorkloadReport::Phase& p) { return kb(p.congestionBytes); },
      [](const WorkloadReport& r) { return kb(r.congestionBytes); }},
-    {"reads", "reads",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.reads); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.reads); }, nullptr},
-    {"hits", "read_hits",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.readHits); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.readHits); }, nullptr},
-    {"writes", "writes",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.writes); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.writes); }, nullptr},
-    {"invals", "invalidations",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.invalidations); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.invalidations); },
-     nullptr},
-    {"locks", "locks",
-     [](const WorkloadReport::Phase& p) { return static_cast<double>(p.locks); },
-     [](const WorkloadReport::Phase& p) { return std::to_string(p.locks); }, nullptr},
 };
+
+/// A rendered operation counter: text label, Stats::Counters member, and
+/// whether it counts bytes (rendered in KB). Which counters a table shows
+/// is chosen here; their keys and values come from Stats::kCounterFields.
+struct CounterCol {
+  const char* label;
+  std::uint64_t Stats::Counters::*field;
+  bool bytes = false;
+};
+using C = Stats::Counters;
+
+/// Per-phase table columns after kPhaseCols; the total row leaves them blank.
+const CounterCol kPhaseCounterCols[] = {
+    {"reads", &C::reads}, {"hits", &C::readHits},        {"writes", &C::writes},
+    {"invals", &C::invalidations}, {"locks", &C::locks},
+};
+/// A/B comparison rows of faulted or reconfigured runs.
+const CounterCol kFaultRows[] = {
+    {"failed ops", &C::failedOps},
+    {"recovery messages", &C::recoveryMessages},
+    {"recovery KB", &C::recoveryBytes, true},
+    {"vars repaired", &C::repairedVars},
+};
+/// A/B comparison rows of reconfigured runs.
+const CounterCol kReconfigRows[] = {
+    {"vars migrated", &C::migratedVars},
+    {"migration messages", &C::migrationMessages},
+    {"migration KB", &C::migrationBytes, true},
+    {"forwarded ops", &C::forwardedOps},
+};
+
+std::string countCell(std::uint64_t v, bool bytes) {
+  return bytes ? kb(v) : std::to_string(v);
+}
+
+void registerCounters(obs::MetricsRegistry& reg, const std::string& base,
+                      const Stats::Counters& ops) {
+  for (const Stats::CounterField& f : Stats::kCounterFields)
+    reg.value(base + f.key, static_cast<double>(ops.*f.field));
+}
 
 struct ServeCol {
   const char* header;  ///< text-table column header
@@ -1063,15 +944,18 @@ std::string formatReport(const WorkloadReport& r) {
       << r.topology << " (" << r.procs << " procs)\n";
   std::vector<std::string> headers{"phase"};
   for (const PhaseCol& c : kPhaseCols) headers.emplace_back(c.header);
+  for (const CounterCol& c : kPhaseCounterCols) headers.emplace_back(c.label);
   support::Table t(headers);
   for (const WorkloadReport::Phase& p : r.phases) {
     std::vector<std::string> row{p.name};
     for (const PhaseCol& c : kPhaseCols) row.push_back(c.cell(p));
+    for (const CounterCol& c : kPhaseCounterCols)
+      row.push_back(countCell(p.ops.*c.field, c.bytes));
     t.addRow(row);
   }
   std::vector<std::string> total{"total"};
-  for (const PhaseCol& c : kPhaseCols)
-    total.push_back(c.runCell != nullptr ? c.runCell(r) : std::string());
+  for (const PhaseCol& c : kPhaseCols) total.push_back(c.runCell(r));
+  total.resize(headers.size());
   t.addRow(total);
   t.print(out);
   // SLO table only when some phase ran open loop — closed-loop reports
@@ -1097,16 +981,16 @@ std::string formatReport(const WorkloadReport& r) {
   // versions.
   if (r.faulted || r.reconfigured) {
     out << "availability " << support::fmt(r.availability, 4) << " · served "
-        << r.servedOps << " · failed " << r.failedOps << " · retried " << r.retriedOps
-        << "\n";
-    out << "recovery " << r.recoveryMessages << " msgs · " << kb(r.recoveryBytes)
-        << " KB · " << r.repairedVars << " vars repaired · " << r.reroutedFlights
+        << r.servedOps << " · failed " << r.failedOps << " · retried "
+        << r.ops.retriedOps << "\n";
+    out << "recovery " << r.ops.recoveryMessages << " msgs · " << kb(r.ops.recoveryBytes)
+        << " KB · " << r.ops.repairedVars << " vars repaired · " << r.reroutedFlights
         << " flights rerouted · " << r.parkedFlights << " parked\n";
   }
   if (r.reconfigured) {
-    out << "reconfig " << r.reconfigEpochs << " epochs · " << r.migratedVars
-        << " vars migrated · " << r.migrationMessages << " migration msgs · "
-        << kb(r.migrationBytes) << " KB moved · " << r.forwardedOps
+    out << "reconfig " << r.reconfigEpochs << " epochs · " << r.ops.migratedVars
+        << " vars migrated · " << r.ops.migrationMessages << " migration msgs · "
+        << kb(r.ops.migrationBytes) << " KB moved · " << r.ops.forwardedOps
         << " ops forwarded\n";
   }
   return out.str();
@@ -1120,24 +1004,23 @@ std::string formatComparison(const WorkloadReport& a, const WorkloadReport& b) {
   out << "strategy A/B on " << a.topology << " · workload '" << a.workload << "'\n";
   support::Table t({"metric", a.strategy, b.strategy,
                     "ratio (" + a.strategy + " / " + b.strategy + ")"});
+  auto countRow = [&](const char* label, std::uint64_t x, std::uint64_t y,
+                      bool bytes = false) {
+    t.addRow({label, countCell(x, bytes), countCell(y, bytes),
+              ratio(static_cast<double>(x), static_cast<double>(y))});
+  };
+  auto counterRows = [&](const auto& rows) {
+    for (const CounterCol& c : rows)
+      countRow(c.label, a.ops.*c.field, b.ops.*c.field, c.bytes);
+  };
   t.addRow({"completion ms", support::fmt(a.completionUs / 1e3, 2),
             support::fmt(b.completionUs / 1e3, 2),
             ratio(a.completionUs, b.completionUs)});
-  t.addRow({"injected messages", std::to_string(a.injected), std::to_string(b.injected),
-            ratio(static_cast<double>(a.injected), static_cast<double>(b.injected))});
-  t.addRow({"link crossings", std::to_string(a.linkMessages),
-            std::to_string(b.linkMessages),
-            ratio(static_cast<double>(a.linkMessages),
-                  static_cast<double>(b.linkMessages))});
-  t.addRow({"link traffic KB", kb(a.linkBytes), kb(b.linkBytes),
-            ratio(static_cast<double>(a.linkBytes), static_cast<double>(b.linkBytes))});
-  t.addRow({"max-link congestion msgs", std::to_string(a.congestionMessages),
-            std::to_string(b.congestionMessages),
-            ratio(static_cast<double>(a.congestionMessages),
-                  static_cast<double>(b.congestionMessages))});
-  t.addRow({"max-link congestion KB", kb(a.congestionBytes), kb(b.congestionBytes),
-            ratio(static_cast<double>(a.congestionBytes),
-                  static_cast<double>(b.congestionBytes))});
+  countRow("injected messages", a.injected, b.injected);
+  countRow("link crossings", a.linkMessages, b.linkMessages);
+  countRow("link traffic KB", a.linkBytes, b.linkBytes, true);
+  countRow("max-link congestion msgs", a.congestionMessages, b.congestionMessages);
+  countRow("max-link congestion KB", a.congestionBytes, b.congestionBytes, true);
   if (a.serve.active || b.serve.active) {
     t.addRow({"achieved req/s", support::fmt(a.serve.achievedPerSec, 0),
               support::fmt(b.serve.achievedPerSec, 0),
@@ -1148,50 +1031,16 @@ std::string formatComparison(const WorkloadReport& a, const WorkloadReport& b) {
               support::fmt(b.serve.p99Us, 2), ratio(a.serve.p99Us, b.serve.p99Us)});
     t.addRow({"p999 latency µs", support::fmt(a.serve.p999Us, 2),
               support::fmt(b.serve.p999Us, 2), ratio(a.serve.p999Us, b.serve.p999Us)});
-    t.addRow({"dropped requests", std::to_string(a.serve.dropped),
-              std::to_string(b.serve.dropped),
-              ratio(static_cast<double>(a.serve.dropped),
-                    static_cast<double>(b.serve.dropped))});
-    t.addRow({"late requests", std::to_string(a.serve.late),
-              std::to_string(b.serve.late),
-              ratio(static_cast<double>(a.serve.late),
-                    static_cast<double>(b.serve.late))});
+    countRow("dropped requests", a.serve.dropped, b.serve.dropped);
+    countRow("late requests", a.serve.late, b.serve.late);
   }
   if (a.faulted || b.faulted || a.reconfigured || b.reconfigured) {
     t.addRow({"availability", support::fmt(a.availability, 4),
               support::fmt(b.availability, 4),
               ratio(a.availability, b.availability)});
-    t.addRow({"failed ops", std::to_string(a.failedOps), std::to_string(b.failedOps),
-              ratio(static_cast<double>(a.failedOps), static_cast<double>(b.failedOps))});
-    t.addRow({"recovery messages", std::to_string(a.recoveryMessages),
-              std::to_string(b.recoveryMessages),
-              ratio(static_cast<double>(a.recoveryMessages),
-                    static_cast<double>(b.recoveryMessages))});
-    t.addRow({"recovery KB", kb(a.recoveryBytes), kb(b.recoveryBytes),
-              ratio(static_cast<double>(a.recoveryBytes),
-                    static_cast<double>(b.recoveryBytes))});
-    t.addRow({"vars repaired", std::to_string(a.repairedVars),
-              std::to_string(b.repairedVars),
-              ratio(static_cast<double>(a.repairedVars),
-                    static_cast<double>(b.repairedVars))});
+    counterRows(kFaultRows);
   }
-  if (a.reconfigured || b.reconfigured) {
-    t.addRow({"vars migrated", std::to_string(a.migratedVars),
-              std::to_string(b.migratedVars),
-              ratio(static_cast<double>(a.migratedVars),
-                    static_cast<double>(b.migratedVars))});
-    t.addRow({"migration messages", std::to_string(a.migrationMessages),
-              std::to_string(b.migrationMessages),
-              ratio(static_cast<double>(a.migrationMessages),
-                    static_cast<double>(b.migrationMessages))});
-    t.addRow({"migration KB", kb(a.migrationBytes), kb(b.migrationBytes),
-              ratio(static_cast<double>(a.migrationBytes),
-                    static_cast<double>(b.migrationBytes))});
-    t.addRow({"forwarded ops", std::to_string(a.forwardedOps),
-              std::to_string(b.forwardedOps),
-              ratio(static_cast<double>(a.forwardedOps),
-                    static_cast<double>(b.forwardedOps))});
-  }
+  if (a.reconfigured || b.reconfigured) counterRows(kReconfigRows);
   t.print(out);
   return out.str();
 }
@@ -1209,29 +1058,18 @@ void registerReport(obs::MetricsRegistry& reg, const WorkloadReport& r) {
   reg.value("run/congestion_bytes", static_cast<double>(r.congestionBytes));
   reg.value("run/faulted", r.faulted ? 1.0 : 0.0);
   reg.value("run/served_ops", static_cast<double>(r.servedOps));
-  reg.value("run/failed_ops", static_cast<double>(r.failedOps));
-  reg.value("run/retried_ops", static_cast<double>(r.retriedOps));
   reg.value("run/availability", r.availability);
-  reg.value("run/recovery_messages", static_cast<double>(r.recoveryMessages));
-  reg.value("run/recovery_bytes", static_cast<double>(r.recoveryBytes));
-  reg.value("run/repaired_vars", static_cast<double>(r.repairedVars));
   reg.value("run/rerouted_flights", static_cast<double>(r.reroutedFlights));
   reg.value("run/parked_flights", static_cast<double>(r.parkedFlights));
   reg.value("run/reconfigured", r.reconfigured ? 1.0 : 0.0);
   reg.value("run/reconfig_epochs", static_cast<double>(r.reconfigEpochs));
-  reg.value("run/migrated_vars", static_cast<double>(r.migratedVars));
-  reg.value("run/migration_messages", static_cast<double>(r.migrationMessages));
-  reg.value("run/migration_bytes", static_cast<double>(r.migrationBytes));
-  reg.value("run/forwarded_ops", static_cast<double>(r.forwardedOps));
+  registerCounters(reg, "run/", r.ops);
   for (std::size_t i = 0; i < r.phases.size(); ++i) {
     const WorkloadReport::Phase& p = r.phases[i];
     const std::string base = "phase/" + std::to_string(i) + "/";
     reg.text(base + "name", p.name);
     for (const PhaseCol& c : kPhaseCols) reg.value(base + c.key, c.num(p));
-    reg.value(base + "failed_ops", static_cast<double>(p.failedOps));
-    reg.value(base + "retried_ops", static_cast<double>(p.retriedOps));
-    reg.value(base + "recovery_messages", static_cast<double>(p.recoveryMessages));
-    reg.value(base + "recovery_bytes", static_cast<double>(p.recoveryBytes));
+    registerCounters(reg, base, p.ops);
     if (p.serve.active) {
       for (const ServeCol& c : kServeCols)
         reg.value(base + "serve/" + c.key, c.num(p.serve));

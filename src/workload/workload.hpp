@@ -173,16 +173,8 @@ struct WorkloadReport {
     std::uint64_t linkBytes = 0;
     std::uint64_t congestionMessages = 0;
     std::uint64_t congestionBytes = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t readHits = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t invalidations = 0;
-    std::uint64_t locks = 0;
-    // Fault/repair accounting (phases without faults report zeros).
-    std::uint64_t failedOps = 0;
-    std::uint64_t retriedOps = 0;
-    std::uint64_t recoveryMessages = 0;
-    std::uint64_t recoveryBytes = 0;
+    /// Operation counters accrued during this phase.
+    Stats::Counters ops;
     /// Open-loop serving measurements; `serve.active` is false (and the
     /// struct all zeros) for closed-loop phases.
     ServeMetrics serve;
@@ -199,18 +191,18 @@ struct WorkloadReport {
   std::uint64_t linkBytes = 0;
   std::uint64_t congestionMessages = 0;  ///< max over links, all phases summed
   std::uint64_t congestionBytes = 0;
-  /// Availability & recovery (docs/faults.md). `faulted` is true iff the
-  /// spec injected faults — reports of fault-free runs render exactly as
-  /// before. availability = served / (served + failed), 1.0 when no op
-  /// ever failed.
+  /// Operation counters of the whole run, repair and migration
+  /// accounting included (docs/faults.md).
+  Stats::Counters ops;
+  /// Availability (docs/faults.md). `faulted` is true iff the spec
+  /// injected faults — reports of fault-free runs render exactly as
+  /// before. servedOps = reads + writes, failedOps = ops.failedOps;
+  /// availability = served / (served + failed), 1.0 when no op ever
+  /// failed.
   bool faulted = false;
   std::uint64_t servedOps = 0;
   std::uint64_t failedOps = 0;
-  std::uint64_t retriedOps = 0;
   double availability = 1.0;
-  std::uint64_t recoveryMessages = 0;
-  std::uint64_t recoveryBytes = 0;
-  std::uint64_t repairedVars = 0;
   std::uint64_t reroutedFlights = 0;
   std::uint64_t parkedFlights = 0;
   /// Structural reconfiguration (docs/faults.md "Reconfiguration").
@@ -218,10 +210,6 @@ struct WorkloadReport {
   /// fixed-shape reports render exactly as before.
   bool reconfigured = false;
   std::uint64_t reconfigEpochs = 0;     ///< structural epochs delivered
-  std::uint64_t migratedVars = 0;       ///< variables re-homed across epochs
-  std::uint64_t migrationMessages = 0;  ///< handoff protocol messages
-  std::uint64_t migrationBytes = 0;     ///< payload bytes moved by migration
-  std::uint64_t forwardedOps = 0;       ///< ops forwarded during handoff windows
   /// Run-total open-loop metrics: per-phase latency histograms merged
   /// (element-wise bucket addition), counters summed, offered/achieved
   /// time-weighted over the open-loop phases. All zeros when every phase
@@ -299,8 +287,10 @@ std::string formatReport(const WorkloadReport& r);
 
 /// Register every field of `r` into a metrics registry under "run/...",
 /// "phase/<i>/..." and "serve/..." paths. Driven by the same descriptor
-/// tables that lay out formatReport's columns, so the text report and
-/// the JSON report are one source of truth (obs/metrics.hpp).
+/// tables that lay out formatReport's columns, and by
+/// Stats::kCounterFields for the operation counters, so the text report,
+/// the JSON report and the sampler are one source of truth
+/// (obs/metrics.hpp).
 void registerReport(obs::MetricsRegistry& reg, const WorkloadReport& r);
 
 /// The report as nested JSON — registerReport on a fresh registry,

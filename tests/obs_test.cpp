@@ -297,10 +297,45 @@ TEST(ObsReport, JsonSharesTheTextReportsSourceOfTruth) {
   EXPECT_NE(json.find("\"strategy\":\"4-ary access tree\""), std::string::npos);
   EXPECT_NE(json.find("\"injected\":" + std::to_string(r.injected)), std::string::npos);
   EXPECT_NE(json.find("\"phase\":[{\"name\":\"only\""), std::string::npos);
-  EXPECT_NE(json.find("\"reads\":" + std::to_string(r.phases[0].reads)),
+  EXPECT_NE(json.find("\"reads\":" + std::to_string(r.phases[0].ops.reads)),
             std::string::npos);
   // Closed-loop run: no serve subobject anywhere.
   EXPECT_EQ(json.find("\"serve\""), std::string::npos);
+}
+
+TEST(ObsReport, EveryCounterFieldReachesReportAndSampler) {
+  WorkloadSpec spec;
+  spec.name = "tiny";
+  spec.numObjects = 8;
+  spec.seed = 7;
+  spec.phases.push_back(PhaseSpec{"only", 4, 0.5, 0.0, 0, 0.0, true, {}});
+  Machine m(net::TopologySpec::mesh2d(2, 2));
+  Runtime rt(m, RuntimeConfig::accessTree(4));
+  obs::Sampler sampler;
+  sampler.configure(m.engine, 100.0);
+  sampler.bindMachine(m);
+  workload::RunOptions opts;
+  opts.sampler = &sampler;
+  const workload::WorkloadReport r = workload::run(m, rt, spec, opts);
+
+  obs::MetricsRegistry reg;
+  workload::registerReport(reg, r);
+  EXPECT_EQ(reg.toJson(), workload::reportJson(r));
+  const auto number = [](const obs::MetricsRegistry& g, const std::string& name) {
+    for (std::size_t i = 0; i < g.size(); ++i)
+      if (g.nameAt(i) == name) return g.numberAt(i);
+    ADD_FAILURE() << "no metric named " << name;
+    return -1.0;
+  };
+  for (const Stats::CounterField& f : Stats::kCounterFields) {
+    const std::string key = f.key;
+    EXPECT_EQ(number(reg, "run/" + key), static_cast<double>(r.ops.*f.field)) << key;
+    EXPECT_EQ(number(reg, "phase/0/" + key), static_cast<double>(r.phases[0].ops.*f.field))
+        << key;
+    EXPECT_EQ(number(sampler.registry(), "ops/" + key),
+              static_cast<double>(m.stats.ops.*f.field))
+        << key;
+  }
 }
 
 }  // namespace

@@ -204,8 +204,32 @@ TEST(ReconfigWorkload, DisconnectingRemovalsRejectedWithLineNumbers) {
       const std::string msg = e.what();
       EXPECT_NE(msg.find("disconnect"), std::string::npos) << msg;
       EXPECT_NE(msg.find("scenario line 5"), std::string::npos) << msg;
+      EXPECT_EQ(msg.find("check failed"), std::string::npos)
+          << "a scenario error must read as an input problem, not an assertion: " << msg;
     }
   }
+}
+
+TEST(ReconfigWorkload, RemovingEveryMemberRejectedBeforeTheRunStarts) {
+  // Each removal leaves a connected path; only the last one would empty
+  // the machine. The pre-flight applies the network's own rules, so the
+  // script fails before any event runs — not mid-run at the last removal.
+  std::string events;
+  for (int n = 0; n < 4; ++n)
+    events += "reconfig " + std::to_string(10 * (n + 1)) + " remove-node " +
+              std::to_string(n) + "\n";
+  Machine m(net::TopologySpec::graph(net::ringGraph(4)));
+  Runtime rt(m, RuntimeConfig::fixedHome());
+  try {
+    (void)workload::run(m, rt, tinySpecWithEvents(events));
+    FAIL() << "expected CheckError";
+  } catch (const support::CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("empty the machine"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("scenario line 8"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(m.engine.now(), 0.0);
+  EXPECT_EQ(m.net.messagesSent(), 0u);
 }
 
 TEST(ReconfigWorkload, NonGraphTopologyRejected) {
@@ -361,8 +385,8 @@ TEST(ReconfigWorkload, ElasticScenarioRunsDeterministicallyWithFullAvailability)
   EXPECT_EQ(r1.reconfigEpochs, 15u);  // 4 grow + 3 rewire + 8 shrink instants
   EXPECT_DOUBLE_EQ(r1.availability, 1.0);
   EXPECT_EQ(r1.failedOps, 0u);
-  EXPECT_GT(r1.migratedVars, 0u);
-  EXPECT_GT(r1.migrationMessages, 0u);
+  EXPECT_GT(r1.ops.migratedVars, 0u);
+  EXPECT_GT(r1.ops.migrationMessages, 0u);
   const std::string text = workload::formatReport(r1);
   EXPECT_NE(text.find("reconfig"), std::string::npos);
   EXPECT_NE(text.find("vars migrated"), std::string::npos);
@@ -435,7 +459,7 @@ TEST(TraceCapture, CaptureThenReplayMatchesOpCounts) {
   EXPECT_EQ(back.failedOps, 0u);
   // The replayed op mix is the captured one.
   std::uint64_t replayReads = 0;
-  for (const auto& p : back.phases) replayReads += p.reads;
+  for (const auto& p : back.phases) replayReads += p.ops.reads;
   EXPECT_EQ(replayReads, capturedReads);
 }
 

@@ -460,8 +460,8 @@ TEST(OpenLoopDriver, TraceReplayDrivesTheRun) {
   EXPECT_EQ(r.serve.arrived, 5u);
   EXPECT_EQ(r.serve.served, 5u);
   ASSERT_EQ(r.phases.size(), 1u);
-  EXPECT_EQ(r.phases[0].reads, 3u);
-  EXPECT_EQ(r.phases[0].writes, 2u);
+  EXPECT_EQ(r.phases[0].ops.reads, 3u);
+  EXPECT_EQ(r.phases[0].ops.writes, 2u);
   std::remove(path.c_str());
 }
 

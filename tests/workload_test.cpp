@@ -278,15 +278,15 @@ TEST(WorkloadDriver, ReportAccountsEveryAccess) {
   for (std::size_t p = 0; p < r.phases.size(); ++p) {
     const auto& pr = r.phases[p];
     // Every processor performed exactly `rounds` accesses.
-    EXPECT_EQ(pr.reads + pr.writes,
+    EXPECT_EQ(pr.ops.reads + pr.ops.writes,
               static_cast<std::uint64_t>(spec.phases[p].rounds) * 16);
     EXPECT_GT(pr.wallUs, 0.0);
   }
   // All-read warmup phase: no writes.
-  EXPECT_EQ(r.phases[0].writes, 0u);
+  EXPECT_EQ(r.phases[0].ops.writes, 0u);
   // The mixed phase took locks for each write.
-  EXPECT_EQ(r.phases[1].locks, r.phases[1].writes);
-  EXPECT_GT(r.phases[1].writes, 0u);
+  EXPECT_EQ(r.phases[1].ops.locks, r.phases[1].ops.writes);
+  EXPECT_GT(r.phases[1].ops.writes, 0u);
   EXPECT_GT(r.linkBytes, 0u);
   EXPECT_GE(r.linkMessages, r.congestionMessages);
   EXPECT_GT(r.completionUs, 0.0);
@@ -315,7 +315,7 @@ TEST(WorkloadDriver, GrowsPastDefaultPhaseBudget) {
   const workload::WorkloadReport r =
       workload::runOn(net::TopologySpec::mesh2d(2, 2), RuntimeConfig::fixedHome(), spec);
   ASSERT_EQ(r.phases.size(), spec.phases.size());
-  for (const auto& pr : r.phases) EXPECT_EQ(pr.reads + pr.writes, 4u);
+  for (const auto& pr : r.phases) EXPECT_EQ(pr.ops.reads + pr.ops.writes, 4u);
 }
 
 TEST(WorkloadDriver, ValidatesSpec) {
