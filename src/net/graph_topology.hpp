@@ -79,35 +79,17 @@ class BfsBisectionPartitioner final : public GraphPartitioner {
               std::vector<NodeId>& a, std::vector<NodeId>& b) const override;
 };
 
-/// Cluster tree of a general graph, built by recursive partitioning. The
+/// Cluster tree of a general graph, built by recursive bisection with
+/// `partitioner` over the nodes attached to the network: every node of a
+/// connected graph; on an elastic machine retired nodes are edgeless and
+/// get no leaf — leafOf/rankOf stay -1 for them (docs/faults.md). The
 /// clusters are arbitrary node sets (sizes need not be powers of the
 /// arity, children of one node may differ in size by one or more), which
 /// makes this the first non-node-symmetric decomposition in the tree —
 /// strategies must not assume uniform cluster sizes, and the tests hold
 /// them to that.
-class GraphClusterTree final : public ClusterTree {
- public:
-  GraphClusterTree(const Topology& topo, DecompParams params,
-                   const GraphPartitioner& partitioner);
-
-  NodeId hostOf(int treeNode, std::uint64_t varKey, EmbeddingKind kind,
-                std::uint64_t seed) const override;
-
-  /// The processors of a tree node's cluster, sorted ascending. Member
-  /// order is what the Regular embedding's "keep the parent's relative
-  /// position" rule indexes into.
-  const std::vector<NodeId>& members(int treeNode) const { return members_[treeNode]; }
-
- private:
-  int build(const Topology& topo, const GraphPartitioner& partitioner,
-            std::vector<NodeId>&& cluster, int parent, int indexInParent, int depth,
-            const DecompParams& params);
-  void expandChildren(const Topology& topo, const GraphPartitioner& partitioner,
-                      std::vector<NodeId>&& cluster, int levels,
-                      std::vector<std::vector<NodeId>>& out);
-
-  std::vector<std::vector<NodeId>> members_;  ///< parallel to nodes_
-};
+std::unique_ptr<ClusterTree> decomposeGraph(const Topology& topo, DecompParams params,
+                                            const GraphPartitioner& partitioner);
 
 /// An arbitrary connected network, routed from precomputed all-pairs
 /// tables: construction runs one deterministic shortest-path search per
@@ -181,7 +163,7 @@ class GraphTopology final : public Topology {
   double weightedDistance(NodeId a, NodeId b) const;
 
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {
-    return std::make_unique<GraphClusterTree>(*this, params, *partitioner_);
+    return decomposeGraph(*this, params, *partitioner_);
   }
 
   const GraphSpec& graphSpec() const { return *spec_; }
@@ -196,7 +178,6 @@ class GraphTopology final : public Topology {
 
  private:
   friend class BfsBisectionPartitioner;
-  friend class GraphClusterTree;
 
   int dirToward(NodeId from, NodeId to) const {
     return nextDir_[static_cast<std::size_t>(from) * numNodes_ + to];

@@ -34,8 +34,7 @@ HierGraphTopology::HierGraphTopology(std::shared_ptr<const GraphSpec> spec,
   adj_ = GraphAdjacency(*spec_);
   // The routing tree sees this topology through the base interface, which
   // only needs the adjacency built above — routing state comes after.
-  tree_ = std::make_unique<GraphClusterTree>(*this, DecompParams{routingArity_, 1},
-                                             *partitioner_);
+  tree_ = decomposeGraph(*this, DecompParams{routingArity_, 1}, *partitioner_);
   DIVA_CHECK_MSG(tree_->maxDepth() + 1 <= kMaxChainDepth,
                  "routing tree deeper than " << kMaxChainDepth << " levels");
   buildLandmarks();
@@ -59,7 +58,7 @@ void HierGraphTopology::buildLandmarks() {
   std::unordered_map<NodeId, NodeId> parent;
   std::queue<NodeId> q;
   for (int i = 0; i < tn; ++i) {
-    const std::vector<NodeId>& mem = tree_->members(i);
+    const std::span<const NodeId> mem = tree_->members(i);
     if (mem.size() == 1) {
       landmark_[i] = mem.front();
       continue;
@@ -247,7 +246,7 @@ void HierGraphTopology::buildSpinePaths(std::vector<std::vector<NodeId>>& spine,
   std::vector<SpineTarget> missing;
   for (int p = 0; p < tn; ++p) {
     if (kids[static_cast<std::size_t>(p)].empty()) continue;
-    const std::vector<NodeId>& mem = tree_->members(p);
+    const std::span<const NodeId> mem = tree_->members(p);
     const NodeId lm = landmark_[p];
     // Only the scratch arrays (dist/dir) filled for the whole cluster
     // matter here; the ball_ entries are thrown away.
@@ -308,9 +307,9 @@ void HierGraphTopology::buildBalls() {
       if (adj_.degree > 0 && adj_.neighbor(v, 0) >= 0) ++attached;
     if (attached == 0) attached = static_cast<std::size_t>(n);  // edgeless machine
   }
-  DIVA_CHECK_MSG(ball_.size() == attached,
-                 "graph '" << spec_->name << "' is not connected (root ball reached "
-                           << ball_.size() << " of " << attached << " nodes)");
+  DIVA_REQUIRE(ball_.size() == attached,
+               "graph '" << spec_->name << "' is not connected (root ball reached "
+                         << ball_.size() << " of " << attached << " nodes)");
   std::vector<NodeId> sptParent(static_cast<std::size_t>(n));
   std::vector<std::uint32_t> sptDepth(static_cast<std::size_t>(n));
   for (NodeId v = 0; v < n; ++v) {

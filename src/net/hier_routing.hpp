@@ -103,7 +103,7 @@ class HierGraphTopology final : public Topology {
   double linkLatency(int link) const override { return adj_.latencyOfSlot[link]; }
 
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {
-    return std::make_unique<GraphClusterTree>(*this, params, *partitioner_);
+    return decomposeGraph(*this, params, *partitioner_);
   }
 
   const GraphSpec& graphSpec() const { return *spec_; }
@@ -119,7 +119,7 @@ class HierGraphTopology final : public Topology {
   // -- Introspection for the differential tests, benches and docs --------
 
   /// The internal routing tree (distinct from any decompose() result).
-  const GraphClusterTree& routingTree() const { return *tree_; }
+  const ClusterTree& routingTree() const { return *tree_; }
   NodeId landmarkOf(int treeNode) const { return landmark_[treeNode]; }
   /// Entries (occupied slots) of `treeNode`'s ball; scans its table.
   std::size_t ballSize(int treeNode) const;
@@ -182,7 +182,7 @@ class HierGraphTopology final : public Topology {
   std::shared_ptr<const GraphPartitioner> partitioner_;
   int routingArity_;
   GraphAdjacency adj_;
-  std::unique_ptr<GraphClusterTree> tree_;
+  std::unique_ptr<ClusterTree> tree_;
   std::vector<NodeId> landmark_;  ///< per tree node
   /// All ball tables back to back, as parallel slot arrays: the node id
   /// (-1 marks an empty slot) and its direction toward the landmark.

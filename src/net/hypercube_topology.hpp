@@ -1,38 +1,10 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "net/topology.hpp"
 
 namespace diva::net {
-
-/// Cluster tree of a hypercube: subcube decomposition. Splitting always
-/// fixes the highest free dimension, so every cluster is a contiguous
-/// range of node ids [base, base + 2^freeDims) and the canonical leaf
-/// order is the numeric node order. ℓ-ary trees fix log2(ℓ) dimensions
-/// per level; the ℓ-k-ary variants terminate at subcubes of ≤ k nodes
-/// with one child per processor, exactly mirroring the mesh decomposition.
-class HypercubeClusterTree final : public ClusterTree {
- public:
-  HypercubeClusterTree(int dims, DecompParams params);
-
-  NodeId hostOf(int treeNode, std::uint64_t varKey, EmbeddingKind kind,
-                std::uint64_t seed) const override;
-
- private:
-  struct Cube {
-    NodeId base = 0;
-    int freeDims = 0;  ///< cluster = ids [base, base + 2^freeDims)
-  };
-
-  int build(const Cube& cube, int parent, int indexInParent, int depth,
-            const DecompParams& params);
-  static void expandChildren(const Cube& cube, int levels, std::vector<Cube>& out);
-
-  int dims_;
-  std::vector<Cube> cubes_;  ///< parallel to nodes_
-};
 
 /// d-dimensional hypercube (2^d nodes, node ids are coordinate bit
 /// strings). Direction slot i is the link flipping bit i. Routing is
@@ -58,8 +30,11 @@ class HypercubeTopology final : public Topology {
   int distance(NodeId a, NodeId b) const override;
   void appendRoute(NodeId from, NodeId to, RouteVec& out) const override;
 
+  /// Clusters are subcubes: the grid split of a 2^d × 1 column fixes the
+  /// highest free dimension first, so every cluster is a contiguous id
+  /// range and the canonical leaf order is the numeric node order.
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {
-    return std::make_unique<HypercubeClusterTree>(dims_, params);
+    return ClusterTree::ofGrid(numNodes(), 1, params);
   }
 
  private:

@@ -35,6 +35,16 @@ std::vector<GraphSpec::Edge> MemberGraph::apply(const FaultEvent& ev) {
   return {};
 }
 
+bool MemberGraph::adjacent(NodeId u, NodeId v) const {
+  if (hasGraph_)
+    return std::any_of(graph_.edges.begin(), graph_.edges.end(),
+                       [&](const GraphSpec::Edge& e) { return sameEdge(e, u, v); });
+  if (u < 0 || u >= source_->numNodes()) return false;
+  for (int dir = 0; dir < source_->degree(); ++dir)
+    if (source_->neighbor(u, dir) == v) return true;
+  return false;
+}
+
 void MemberGraph::ensureGraph(int line) {
   if (hasGraph_) return;
   const GraphSpec* g = source_->graph();
@@ -118,10 +128,8 @@ void MemberGraph::addLink(NodeId u, NodeId v, double weight, double latency, int
                                       << atLine(line));
   DIVA_REQUIRE(weight > 0.0 && latency > 0.0,
                "add-link: edge weight and latency must be positive" << atLine(line));
-  DIVA_REQUIRE(std::none_of(graph_.edges.begin(), graph_.edges.end(),
-                            [&](const GraphSpec::Edge& e) { return sameEdge(e, u, v); }),
-               "add-link: nodes " << u << " and " << v << " are already adjacent"
-                                  << atLine(line));
+  DIVA_REQUIRE(!adjacent(u, v), "add-link: nodes " << u << " and " << v
+                                                   << " are already adjacent" << atLine(line));
   graph_.edges.push_back(GraphSpec::Edge{u, v, weight, latency});
 }
 

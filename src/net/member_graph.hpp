@@ -40,6 +40,9 @@ class MemberGraph {
   const std::vector<NodeId>& members() const { return members_; }
   /// The member-only graph; meaningful once a mutation has been applied.
   const GraphSpec& graph() const { return graph_; }
+  /// Are u and v joined by an edge? Asked of the topology until the
+  /// first mutation, of the member-only graph after it.
+  bool adjacent(NodeId u, NodeId v) const;
 
   /// Apply one structural event (`isStructural(ev.kind)`) through the
   /// matching mutation below. Returns the edges a `remove-node` severed

@@ -2,45 +2,11 @@
 
 #include <memory>
 
-#include "mesh/decomposition.hpp"
-#include "mesh/embedding.hpp"
 #include "mesh/mesh.hpp"
 #include "mesh/route.hpp"
 #include "net/topology.hpp"
 
 namespace diva::net {
-
-/// Cluster tree of a 2-D grid: wraps the paper's mesh decomposition (the
-/// recursive halving of the longer side) and its submesh-relative
-/// embeddings, so strategies built on the generic API behave exactly like
-/// the original mesh-specific code path.
-class MeshClusterTree final : public ClusterTree {
- public:
-  MeshClusterTree(const mesh::Mesh& grid, DecompParams params)
-      : decomp_(grid, mesh::Decomposition::Params{params.arity, params.leafSize}) {
-    const int n = decomp_.numNodes();
-    nodes_.resize(static_cast<std::size_t>(n));
-    leafProc_.assign(static_cast<std::size_t>(n), -1);
-    for (int i = 0; i < n; ++i) {
-      const mesh::Decomposition::Node& d = decomp_.node(i);
-      nodes_[i] = Node{d.parent, d.indexInParent, d.children, d.depth, d.box.size()};
-      if (d.isLeaf()) leafProc_[i] = decomp_.procOfLeaf(i);
-    }
-    finalize(grid.numNodes());
-  }
-
-  NodeId hostOf(int treeNode, std::uint64_t varKey, EmbeddingKind kind,
-                std::uint64_t seed) const override {
-    // Embedding is a stateless pure function of (decomposition, kind,
-    // seed); constructing it per call is three pointer stores.
-    return mesh::Embedding(decomp_, kind, seed).hostOf(treeNode, varKey);
-  }
-
-  const mesh::Decomposition& decomposition() const { return decomp_; }
-
- private:
-  mesh::Decomposition decomp_;
-};
 
 /// The 2-D mesh of the Parsytec GCel — the paper's machine. Dimension-order
 /// routing (columns then rows) with arithmetic-only route expansion; this
@@ -80,8 +46,9 @@ class MeshTopology : public Topology {
     mesh::appendDimensionOrderRoute(grid_, from, to, out);
   }
 
+  /// Clusters are submeshes, split by halving the longer side.
   std::unique_ptr<ClusterTree> decompose(DecompParams params) const override {
-    return std::make_unique<MeshClusterTree>(grid_, params);
+    return ClusterTree::ofGrid(grid_.rows(), grid_.cols(), params);
   }
 
  protected:

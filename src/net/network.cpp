@@ -456,9 +456,8 @@ void Network::commitReconfig() {
   }
   openEpochSpans_.clear();
   retainedEdges_.clear();
-  // Install the very topology object strategies decomposed at the epoch —
-  // their new trees must stay valid, and a tree must not outlive the
-  // topology that built it.
+  // Install the topology strategies decomposed at the epoch rather than
+  // rebuilding the same shape.
   installTopology(std::move(targetTopo_));
 }
 
@@ -529,7 +528,7 @@ void Network::installTopology(std::unique_ptr<Topology> built) {
     restrideTable(mailboxes_, oldN, newN, mailboxChannels_);
   }
   topo_ = built.get();
-  ownedTopos_.push_back(std::move(built));
+  ownedTopo_ = std::move(built);
   numNodes_ = newN;
   ++topoEpoch_;
   retryParked();  // new links may reconnect parked flights

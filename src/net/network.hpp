@@ -203,8 +203,7 @@ class Network {
   /// The shape strategies should decompose after an epoch: excludes
   /// retired nodes even while their links are still installed for
   /// in-flight traffic. Identical to topology() outside a remove-node
-  /// handoff window. Trees built from it stay valid until the *next*
-  /// epoch (the Network keeps superseded topologies alive).
+  /// handoff window.
   const Topology& targetTopology() const {
     return targetTopo_ ? *targetTopo_ : *topo_;
   }
@@ -344,8 +343,7 @@ class Network {
   std::vector<GraphSpec::Edge> retainedEdges_;  ///< retiring nodes' edges, kept
                                                 ///< installed until commit
   std::vector<ReconfigListener> reconfigListeners_;  ///< token-indexed
-  std::vector<std::unique_ptr<Topology>> ownedTopos_;  ///< rebuilt shapes, kept
-                                                       ///< alive for old trees
+  std::unique_ptr<Topology> ownedTopo_;  ///< the installed rebuilt shape, if any
   std::unique_ptr<Topology> targetTopo_;  ///< see targetTopology()
 };
 

@@ -1,7 +1,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -161,9 +163,18 @@ struct TopologySpec {
 /// `leafOrder()` enumerates them in the tree's left-to-right order (the
 /// numbering applications use to assign logical processor identities).
 ///
-/// Concrete trees are produced by `Topology::decompose()` and keep the
-/// geometry needed to embed tree nodes onto processors; a tree must not
-/// outlive the topology that created it.
+/// One builder serves every shape (paper §2): a cluster of at most
+/// `leafSize` processors gets one child per processor, in id order; any
+/// other cluster of two or more gets the fringe of log2(ℓ) consecutive
+/// bisections as its children (clusters of one processor stop splitting
+/// early, so a node near the bottom may have fewer than ℓ children).
+/// Nodes are numbered in preorder. A topology supplies only the root
+/// cluster and its bisection.
+///
+/// Every cluster is stored as its members, sorted ascending, laid out
+/// row-major as a rows × cols grid: the submesh of a 2-D grid, a
+/// size × 1 column everywhere else. That layout is all the embeddings
+/// need, so a tree is self-contained and may outlive its topology.
 class ClusterTree {
  public:
   struct Node {
@@ -175,7 +186,30 @@ class ClusterTree {
     bool isLeaf() const { return children.empty(); }
   };
 
-  virtual ~ClusterTree() = default;
+  /// A cluster's grid extent: its sorted members read row-major as
+  /// rows × cols.
+  struct Grid {
+    int rows = 0;
+    int cols = 1;
+  };
+
+  /// Splits a cluster of two or more members in place, deterministically:
+  /// reorders `members` (sorted ascending on entry) so that the first
+  /// child's members come first, each half sorted ascending, and returns
+  /// the first child's grid. Both halves must be non-empty.
+  using Bisect = std::function<Grid(std::span<NodeId> members, Grid grid)>;
+
+  /// Decompose the cluster `members` (sorted ascending, laid out as
+  /// `grid`) of a machine with `numProcs` processor ids; throws
+  /// CheckError on an arity outside {2, 4, 16} or a leafSize below 1.
+  ClusterTree(int numProcs, std::vector<NodeId> members, Grid grid, DecompParams params,
+              const Bisect& bisect);
+
+  /// The tree of processors 0..rows·cols-1 as a rows × cols grid, split by
+  /// the paper's mesh rule: "we partition M into two non-overlapping
+  /// submeshes of size ⌈m1/2⌉×m2 and ⌊m1/2⌋×m2" where m1 is the longer
+  /// side; ties split rows.
+  static std::unique_ptr<ClusterTree> ofGrid(int rows, int cols, DecompParams params);
 
   int root() const { return 0; }
   int numNodes() const { return static_cast<int>(nodes_.size()); }
@@ -184,6 +218,16 @@ class ClusterTree {
   int depthOf(int i) const { return nodes_[i].depth; }
   int maxDepth() const { return maxDepth_; }
   int numProcs() const { return static_cast<int>(leafOfProc_.size()); }
+
+  /// The processors of a tree node's cluster, sorted ascending.
+  std::span<const NodeId> members(int treeNode) const {
+    const Extent& e = extent_[treeNode];
+    return {members_.data() + e.begin, static_cast<std::size_t>(e.grid.rows) * e.grid.cols};
+  }
+  /// Grid extent of a tree node's cluster: members() read row-major as
+  /// rowsOf × colsOf.
+  int rowsOf(int treeNode) const { return extent_[treeNode].grid.rows; }
+  int colsOf(int treeNode) const { return extent_[treeNode].grid.cols; }
 
   /// Tree leaf whose cluster is exactly {processor p}, or -1 when the
   /// tree does not cover p (a retired processor of an elastic machine, or
@@ -198,8 +242,8 @@ class ClusterTree {
 
   /// The single processor of a leaf node.
   NodeId procOfLeaf(int leaf) const {
-    DIVA_CHECK(leafProc_[leaf] >= 0);
-    return leafProc_[leaf];
+    DIVA_CHECK(nodes_[leaf].isLeaf());
+    return members_[extent_[leaf].begin];
   }
 
   /// Leaves in left-to-right tree order (size = number of processors).
@@ -220,17 +264,33 @@ class ClusterTree {
   /// variable identified by `varKey`. Pure function of its arguments, so
   /// no per-variable state exists — essential when applications create
   /// hundreds of thousands of variables.
-  virtual NodeId hostOf(int treeNode, std::uint64_t varKey, EmbeddingKind kind,
-                        std::uint64_t seed) const = 0;
+  NodeId hostOf(int treeNode, std::uint64_t varKey, EmbeddingKind kind,
+                std::uint64_t seed) const;
 
- protected:
-  /// Builders append `nodes_`/`leafProc_` and then call finalize(), which
-  /// derives the per-processor leaf/rank tables and checks that leaves
-  /// partition the processor set.
-  void finalize(int numProcs);
+ private:
+  /// Per tree node: where its members start in members_, and its grid.
+  struct Extent {
+    std::size_t begin = 0;
+    Grid grid;
+  };
+  /// A child cluster under construction: a range of the builder's scratch.
+  struct Part {
+    std::span<NodeId> members;
+    Grid grid;
+  };
+
+  /// The deepest tree hostOf walks: balanced bisections of any machine
+  /// that fits in memory stay far below it.
+  static constexpr int kMaxDepth = 64;
+
+  int build(Part c, int parent, int indexInParent, int depth, int leafSize, int levels,
+            const Bisect& bisect);
+  /// Appends the fringe of `levels` rounds of bisection of `c` to `out`.
+  static void expand(Part c, int levels, const Bisect& bisect, std::vector<Part>& out);
 
   std::vector<Node> nodes_;
-  std::vector<NodeId> leafProc_;  ///< per tree node: its processor, -1 unless leaf
+  std::vector<Extent> extent_;
+  std::vector<NodeId> members_;  ///< every node's members, back to back
   std::vector<int> leafOfProc_;
   std::vector<int> rankOfProc_;
   std::vector<int> leafOrder_;
@@ -302,8 +362,8 @@ class Topology {
     return 1.0;
   }
 
-  /// Build the hierarchical cluster tree for `params`. The returned tree
-  /// references this topology and must not outlive it.
+  /// Build the hierarchical cluster tree for `params`: the shape's root
+  /// cluster, split by its bisection (see ClusterTree).
   virtual std::unique_ptr<ClusterTree> decompose(DecompParams params) const = 0;
 
   /// Structural reconfiguration support (docs/faults.md). Graph-backed

@@ -204,6 +204,12 @@ ShapeTimeline simulateShape(const WorkloadSpec& spec, const Machine& m) {
                      ctx << "fault " << net::faultKindName(ev->kind)
                          << " endpoint out of range for a " << shape.numNodes()
                          << "-processor machine" << net::atLine(ev->line));
+        const bool onLink = ev->kind == net::FaultEvent::Kind::LinkDown ||
+                            ev->kind == net::FaultEvent::Kind::LinkUp ||
+                            ev->kind == net::FaultEvent::Kind::Degrade;
+        DIVA_REQUIRE(!onLink || shape.adjacent(ev->a, ev->b),
+                     ctx << "fault " << net::faultKindName(ev->kind) << ": nodes " << ev->a
+                         << " and " << ev->b << " are not adjacent" << net::atLine(ev->line));
         continue;
       }
       tl.reconfigured = true;

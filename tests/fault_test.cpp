@@ -438,5 +438,27 @@ TEST(FaultWorkload, OutOfRangeFaultEndpointRejected) {
                support::CheckError);
 }
 
+TEST(FaultWorkload, LinkFaultBetweenNonAdjacentNodesRejectedBeforeTheRunStarts) {
+  // The committed churn script flaps 33—41, a mesh link but a chord of the
+  // 64-ring. The pre-flight checks adjacency at that point of the script,
+  // so the run fails before anything is simulated — not inside an engine
+  // event once the first phase has run.
+  const workload::WorkloadSpec spec =
+      workload::loadScenarioFile(std::string(DIVA_SCENARIO_DIR) + "/churn.scenario");
+  Machine m(net::TopologySpec::graph(net::ringGraph(64)));
+  Runtime rt(m, RuntimeConfig::accessTree(4, 1, spec.seed).on(m.topo().spec()));
+  try {
+    (void)workload::run(m, rt, spec);
+    FAIL() << "expected CheckError";
+  } catch (const support::CheckError& e) {
+    const std::string msg = e.what();
+    EXPECT_NE(msg.find("nodes 33 and 41 are not adjacent"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("scenario line 36"), std::string::npos) << msg;
+    EXPECT_EQ(msg.find("check failed"), std::string::npos) << msg;
+  }
+  EXPECT_EQ(m.engine.now(), 0.0);
+  EXPECT_EQ(m.net.messagesSent(), 0u);
+}
+
 }  // namespace
 }  // namespace diva

@@ -305,6 +305,26 @@ TEST(GraphFile, ParsesAndRoundTrips) {
   EXPECT_THROW((void)net::parseGraph("nodes 2 3\nedge 0 1\n"), support::CheckError);
   EXPECT_THROW((void)net::parseGraph("graph lonely\n"), support::CheckError);
   EXPECT_THROW((void)net::loadGraphFile("/nonexistent/graph.txt"), support::CheckError);
+
+  // Values the parser accepts but no topology can be built from are input
+  // errors too: the message names the graph, not a source file or an
+  // assertion — for the dense and the hierarchical router alike.
+  for (const char* text : {"nodes 2\nedge 0 1 0\n", "nodes 2\nedge 0 1 1 -1\n",
+                           "nodes 4\nedge 0 1\nedge 2 3\n"}) {
+    for (const int hierArity : {0, 16}) {
+      TopologySpec spec = TopologySpec::graph(net::parseGraph(text));
+      spec.hierArity = hierArity;
+      try {
+        (void)net::makeTopology(spec);
+        ADD_FAILURE() << "expected CheckError for: " << text;
+      } catch (const support::CheckError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("graph 'file'"), std::string::npos) << what;
+        EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+        EXPECT_EQ(what.find(".cpp:"), std::string::npos) << what;
+      }
+    }
+  }
 }
 
 TEST(GraphFile, StructuralErrorsCarryLineNumbers) {

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <memory>
 #include <queue>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -185,7 +186,7 @@ TEST(HierRouting, BallTablesHoldSpineInvariantAndStayMemoryNeutral) {
       net::HierGraphTopology(exact), net::HierGraphTopology(other, 2),
       net::HierGraphTopology(other, 4)};
   for (const net::HierGraphTopology& topo : topos) {
-    const net::GraphClusterTree& tree = topo.routingTree();
+    const net::ClusterTree& tree = topo.routingTree();
     std::size_t entries = 0;
     for (int c = 0; c < tree.numNodes(); ++c) {
       entries += topo.ballSize(c);
@@ -237,7 +238,7 @@ std::uint64_t routeFingerprint(const net::Topology& topo) {
 /// restricted to the parent's members, cannot reach. Their spine paths
 /// come from the exact whole-graph fallback (n ≤ kExactSpineMaxNodes).
 int unreachableChildLandmarks(const net::HierGraphTopology& topo) {
-  const net::GraphClusterTree& tree = topo.routingTree();
+  const net::ClusterTree& tree = topo.routingTree();
   std::vector<std::vector<int>> kids(static_cast<std::size_t>(tree.numNodes()));
   for (int c = 0; c < tree.numNodes(); ++c)
     if (tree.parent(c) >= 0) kids[static_cast<std::size_t>(tree.parent(c))].push_back(c);
@@ -245,7 +246,7 @@ int unreachableChildLandmarks(const net::HierGraphTopology& topo) {
   int unreachable = 0;
   for (int p = 0; p < tree.numNodes(); ++p) {
     if (kids[static_cast<std::size_t>(p)].empty()) continue;
-    const std::vector<NodeId>& mem = tree.members(p);
+    const std::span<const NodeId> mem = tree.members(p);
     std::fill(seen.begin(), seen.end(), 0);
     std::queue<NodeId> q;
     seen[static_cast<std::size_t>(topo.landmarkOf(p))] = 1;

@@ -277,7 +277,7 @@ TEST(AccessTree, FlatterTreesUseFewerMessagesButMoreTraffic) {
 }
 
 TEST(AccessTree, EmbeddingKindChangesHostsNotSemantics) {
-  for (auto kind : {mesh::EmbeddingKind::Regular, mesh::EmbeddingKind::Random}) {
+  for (auto kind : {net::EmbeddingKind::Regular, net::EmbeddingKind::Random}) {
     Machine m(4, 4);
     RuntimeConfig cfg = RuntimeConfig::accessTree(4, 1);
     cfg.embedding = kind;

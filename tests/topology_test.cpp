@@ -217,26 +217,6 @@ TEST(TopologyDecomposition, TreesPartitionAndEmbedWithinClusters) {
   }
 }
 
-TEST(TopologyDecomposition, MeshTreeMatchesLegacyDecomposition) {
-  const net::MeshTopology topo(4, 3);
-  const mesh::Mesh grid(4, 3);
-  const mesh::Decomposition legacy(grid, mesh::Decomposition::Params{2, 1});
-  const auto tree = topo.decompose(net::DecompParams{2, 1});
-  ASSERT_EQ(tree->numNodes(), legacy.numNodes());
-  for (int i = 0; i < tree->numNodes(); ++i) {
-    EXPECT_EQ(tree->parent(i), legacy.parent(i));
-    EXPECT_EQ(tree->depthOf(i), legacy.depthOf(i));
-    EXPECT_EQ(tree->node(i).children, legacy.node(i).children);
-  }
-  EXPECT_EQ(tree->leafOrder(), legacy.leafOrder());
-  // Hosts are computed by the very same embedding.
-  const mesh::Embedding embed(legacy, mesh::EmbeddingKind::Regular, 7);
-  for (int i = 0; i < tree->numNodes(); ++i)
-    for (std::uint64_t var : {1ull, 5ull})
-      EXPECT_EQ(tree->hostOf(i, var, net::EmbeddingKind::Regular, 7),
-                embed.hostOf(i, var));
-}
-
 // ---------------------------------------------------------------------------
 // Fail-fast construction and configuration validation
 // ---------------------------------------------------------------------------
