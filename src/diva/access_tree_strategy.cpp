@@ -4,6 +4,8 @@
 #include <bit>
 #include <sstream>
 
+#include "support/small_vec.hpp"
+
 namespace diva {
 
 namespace {
@@ -69,8 +71,7 @@ void AccessTreeStrategy::hintCopyDied(VarId x, std::int32_t node) {
     c.hints[static_cast<std::size_t>(a)].remove(x);
 }
 
-void AccessTreeStrategy::clearCopy(VarId x, std::int32_t node) {
-  const NodeId host = hostOf(node, x);
+void AccessTreeStrategy::clearCopy(VarId x, NodeId host) {
   NodeCache::Entry* e = caches_[host].peek(x);
   DIVA_CHECK_MSG(e && e->copyCount >= 1, "clearCopy without a cached copy");
   if (--e->copyCount == 0) caches_[host].erase(x);
@@ -254,12 +255,19 @@ Value AccessTreeStrategy::peek(VarId x) const {
 
 void AccessTreeStrategy::handleMessage(net::Message&& msg) {
   AtBody b = msg.take<AtBody>();
+  const NodeId here = msg.dst;
+#ifndef NDEBUG
+  if (b.atNode >= 0)
+    DIVA_CHECK_MSG(here == ctxs_[static_cast<std::size_t>(b.ctx)].tree->hostOf(
+                               b.atNode, b.var, params_.embedding, params_.seed),
+                   "message for tree node " << b.atNode << " delivered off its host");
+#endif
   switch (b.k) {
-    case AtBody::K::Climb: onClimb(std::move(b)); break;
-    case AtBody::K::Data: onData(std::move(b)); break;
-    case AtBody::K::Inval: onInval(std::move(b)); break;
-    case AtBody::K::InvalAck: onInvalAck(std::move(b)); break;
-    case AtBody::K::Mark: onMark(std::move(b)); break;
+    case AtBody::K::Climb: onClimb(std::move(b), here); break;
+    case AtBody::K::Data: onData(std::move(b), here); break;
+    case AtBody::K::Inval: onInval(std::move(b), here); break;
+    case AtBody::K::InvalAck: onInvalAck(std::move(b), here); break;
+    case AtBody::K::Mark: onMark(std::move(b), here); break;
     case AtBody::K::MarkAck: {
       auto it = pending_.find(b.txn);
       DIVA_CHECK(it != pending_.end());
@@ -288,26 +296,24 @@ void AccessTreeStrategy::handleMessage(net::Message&& msg) {
   }
 }
 
-void AccessTreeStrategy::forward(AtBody&& b, std::int32_t fromTreeNode,
-                                 std::int32_t toTreeNode, std::uint64_t payloadBytes) {
+void AccessTreeStrategy::forward(AtBody&& b, NodeId src, std::int32_t toTreeNode,
+                                 std::uint64_t payloadBytes) {
   // Host resolution uses the context stamped into the message, not the
   // variable's current one: a cost-only Mark may still be travelling on a
   // predecessor tree after its variable migrated (or was destroyed).
   const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(b.ctx)].tree;
-  const VarId x = b.var;
-  const NodeId src = t.hostOf(fromTreeNode, x, params_.embedding, params_.seed);
-  const NodeId dst = t.hostOf(toTreeNode, x, params_.embedding, params_.seed);
+  const NodeId dst = t.hostOf(toTreeNode, b.var, params_.embedding, params_.seed);
   b.atNode = toTreeNode;
   net_.post(net::Message{src, dst, net::kProtocolChannel, payloadBytes, std::move(b)});
 }
 
-void AccessTreeStrategy::onClimb(AtBody&& b) {
+void AccessTreeStrategy::onClimb(AtBody&& b, NodeId here) {
   const std::int32_t node = b.atNode;
   const TreeState* st = findState(b.var, node);
   const TreeState::Kind kind = st ? st->kind : TreeState::Kind::Up;
 
   if (kind == TreeState::Kind::Copy) {
-    serveAt(node, std::move(b));
+    serveAt(node, std::move(b), here);
     return;
   }
   if (kind == TreeState::Kind::Down) {
@@ -315,7 +321,7 @@ void AccessTreeStrategy::onClimb(AtBody&& b) {
     b.descending = true;
     b.path.push_back(node);
     const std::uint64_t payload = b.isWrite ? b.value->size() : 0;
-    forward(std::move(b), node, next, payload);
+    forward(std::move(b), here, next, payload);
     return;
   }
   // Kind::Up — no information here.
@@ -332,24 +338,23 @@ void AccessTreeStrategy::onClimb(AtBody&& b) {
                                   << "(unregistered variable " << b.var << "?)");
   b.path.push_back(node);
   const std::uint64_t payload = b.isWrite ? b.value->size() : 0;
-  forward(std::move(b), node, parent, payload);
+  forward(std::move(b), here, parent, payload);
 }
 
-void AccessTreeStrategy::serveAt(std::int32_t node, AtBody&& b) {
+void AccessTreeStrategy::serveAt(std::int32_t node, AtBody&& b, NodeId here) {
   b.path.push_back(node);
   if (!b.isWrite) {
-    const NodeId host = hostOf(node, b.var);
-    NodeCache::Entry* e = caches_[host].touch(b.var);
+    NodeCache::Entry* e = caches_[here].touch(b.var);
     DIVA_CHECK_MSG(e && e->value, "copy holder without cached value");
-    sendData(b.var, b.txn, b.requester, false, e->value, std::move(b.path));
+    sendData(b.var, b.txn, b.requester, false, e->value, std::move(b.path), here);
     return;
   }
-  startInvalidation(node, std::move(b));
+  startInvalidation(node, std::move(b), here);
 }
 
 void AccessTreeStrategy::sendData(VarId x, std::uint64_t txn, NodeId requester,
                                   bool isWrite, Value v,
-                                  std::vector<std::int32_t> path) {
+                                  std::vector<std::int32_t> path, NodeId here) {
   DIVA_CHECK(path.size() >= 2);
   const std::int32_t server = path.back();
   const std::int32_t next = path[path.size() - 2];
@@ -378,27 +383,26 @@ void AccessTreeStrategy::sendData(VarId x, std::uint64_t txn, NodeId requester,
   d.idx = static_cast<std::int32_t>(path.size()) - 2;
   d.path = std::move(path);
   const std::uint64_t payload = d.value->size();
-  forward(std::move(d), server, next, payload);
+  forward(std::move(d), here, next, payload);
 }
 
 void AccessTreeStrategy::depositCopy(VarId x, std::int32_t node, const Value& v,
                                      std::int32_t towardServer,
-                                     std::int32_t towardRequester) {
+                                     std::int32_t towardRequester, NodeId here) {
   TreeState& st = stateOf(x, node);
-  const NodeId host = hostOf(node, x);
   if (st.kind != TreeState::Kind::Copy) {
     st.kind = TreeState::Kind::Copy;
     st.downChild = -1;
     hintCopyBorn(x, node);
-    NodeCache::Entry* e = caches_[host].peek(x);
+    NodeCache::Entry* e = caches_[here].peek(x);
     if (e) {
       e->value = v;
       ++e->copyCount;
     } else {
-      caches_[host].put(x, v).copyCount = 1;
+      caches_[here].put(x, v).copyCount = 1;
     }
   } else {
-    NodeCache::Entry* e = caches_[host].peek(x);
+    NodeCache::Entry* e = caches_[here].peek(x);
     DIVA_CHECK(e);
     e->value = v;
   }
@@ -412,10 +416,10 @@ void AccessTreeStrategy::depositCopy(VarId x, std::int32_t node, const Value& v,
   };
   mark(towardServer);
   mark(towardRequester);
-  maybeEvictAt(host);
+  maybeEvictAt(here);
 }
 
-void AccessTreeStrategy::onData(AtBody&& b) {
+void AccessTreeStrategy::onData(AtBody&& b, NodeId here) {
   const std::int32_t node = b.path[b.idx];
   DIVA_CHECK(node == b.atNode);
   const VarState& vs = states_.at(b.var);
@@ -425,7 +429,7 @@ void AccessTreeStrategy::onData(AtBody&& b) {
   if (depositsEnabled) {
     const std::int32_t towardServer = b.path[b.idx + 1];
     const std::int32_t towardRequester = b.idx > 0 ? b.path[b.idx - 1] : -1;
-    depositCopy(b.var, node, b.value, towardServer, towardRequester);
+    depositCopy(b.var, node, b.value, towardServer, towardRequester, here);
   }
 
   if (b.idx == 0) {
@@ -437,10 +441,10 @@ void AccessTreeStrategy::onData(AtBody&& b) {
   --b.idx;
   const std::int32_t next = b.path[b.idx];
   const std::uint64_t payload = b.value->size();
-  forward(std::move(b), node, next, payload);
+  forward(std::move(b), here, next, payload);
 }
 
-void AccessTreeStrategy::startInvalidation(std::int32_t uNode, AtBody&& b) {
+void AccessTreeStrategy::startInvalidation(std::int32_t uNode, AtBody&& b, NodeId here) {
   VarState& vs = states_[b.var];
   DIVA_CHECK_MSG(!vs.coord, "concurrent writes to one variable are not allowed "
                                 << "(variable " << b.var << ")");
@@ -460,7 +464,7 @@ void AccessTreeStrategy::startInvalidation(std::int32_t uNode, AtBody&& b) {
     iv.var = b.var;
     iv.fromNode = uNode;
     iv.ctx = b.ctx;
-    forward(std::move(iv), uNode, nb, 0);
+    forward(std::move(iv), here, nb, 0);
     ++c.pendingAcks;
   };
   if (st.parentCopy) flood(nd.parent);
@@ -475,13 +479,13 @@ void AccessTreeStrategy::startInvalidation(std::int32_t uNode, AtBody&& b) {
   st.childCopyMask = 0;
 
   if (c.pendingAcks == 0) {
-    finishWrite(vs, std::move(c));
+    finishWrite(vs, std::move(c), here);
   } else {
     vs.coord.emplace(std::move(c));
   }
 }
 
-void AccessTreeStrategy::onInval(AtBody&& b) {
+void AccessTreeStrategy::onInval(AtBody&& b, NodeId here) {
   const std::int32_t node = b.atNode;
   const std::int32_t from = b.fromNode;
   VarState& vs = states_[b.var];
@@ -496,7 +500,7 @@ void AccessTreeStrategy::onInval(AtBody&& b) {
     ack.fromNode = node;
     ack.ctx = b.ctx;
     ack.ackHadCopy = false;
-    forward(std::move(ack), node, from, 0);
+    forward(std::move(ack), here, from, 0);
     return;
   }
   ++stats_.ops.invalidations;
@@ -511,7 +515,7 @@ void AccessTreeStrategy::onInval(AtBody&& b) {
     iv.var = b.var;
     iv.fromNode = node;
     iv.ctx = b.ctx;
-    forward(std::move(iv), node, nb, 0);
+    forward(std::move(iv), here, nb, 0);
     ++rs.pendingAcks;
   };
   if (st.parentCopy) flood(nd.parent);
@@ -524,7 +528,7 @@ void AccessTreeStrategy::onInval(AtBody&& b) {
 
   // Drop the copy and point toward the writer (restores the root-path
   // marking invariant; see DESIGN.md §5).
-  clearCopy(b.var, node);
+  clearCopy(b.var, here);
   hintCopyDied(b.var, node);
   if (from == nd.parent) {
     st.kind = TreeState::Kind::Up;
@@ -542,14 +546,14 @@ void AccessTreeStrategy::onInval(AtBody&& b) {
     ack.var = b.var;
     ack.fromNode = node;
     ack.ctx = b.ctx;
-    forward(std::move(ack), node, from, 0);
+    forward(std::move(ack), here, from, 0);
     eraseIfDefault(b.var, node);
   } else {
     vs.relays[node] = rs;
   }
 }
 
-void AccessTreeStrategy::onInvalAck(AtBody&& b) {
+void AccessTreeStrategy::onInvalAck(AtBody&& b, NodeId here) {
   const std::int32_t node = b.atNode;
   VarState& vs = states_[b.var];
   if (!b.ackHadCopy) {
@@ -572,7 +576,7 @@ void AccessTreeStrategy::onInvalAck(AtBody&& b) {
       ack.ctx = b.ctx;
       const std::int32_t to = rit->second.ackTo;
       vs.relays.erase(rit);
-      forward(std::move(ack), node, to, 0);
+      forward(std::move(ack), here, to, 0);
       eraseIfDefault(b.var, node);
     }
     return;
@@ -582,19 +586,17 @@ void AccessTreeStrategy::onInvalAck(AtBody&& b) {
   if (--vs.coord->pendingAcks == 0) {
     InvalCoord c = std::move(*vs.coord);
     vs.coord.reset();
-    finishWrite(vs, std::move(c));
+    finishWrite(vs, std::move(c), here);
   }
 }
 
-void AccessTreeStrategy::finishWrite(VarState& vs, InvalCoord&& c) {
+void AccessTreeStrategy::finishWrite(VarState& vs, InvalCoord&& c, NodeId here) {
   DIVA_CHECK(c.var != kInvalidVar);
   ++vs.committedVersion;
-  const std::int32_t u = c.path.back();
-  const NodeId host = hostOf(u, c.var);
-  NodeCache::Entry* e = caches_[host].peek(c.var);
+  NodeCache::Entry* e = caches_[here].peek(c.var);
   DIVA_CHECK_MSG(e && e->copyCount >= 1, "writer target lost its copy");
   e->value = c.value;
-  caches_[host].touch(c.var);
+  caches_[here].touch(c.var);
 
   if (c.path.size() == 1) {
     auto it = pending_.find(c.txn);
@@ -602,10 +604,10 @@ void AccessTreeStrategy::finishWrite(VarState& vs, InvalCoord&& c) {
     it->second.done->resolve(std::move(c.value));
     return;
   }
-  sendData(c.var, c.txn, c.requester, true, std::move(c.value), std::move(c.path));
+  sendData(c.var, c.txn, c.requester, true, std::move(c.value), std::move(c.path), here);
 }
 
-void AccessTreeStrategy::onMark(AtBody&& b) {
+void AccessTreeStrategy::onMark(AtBody&& b, NodeId here) {
   // Cost-only: the directory was updated at registration; this message
   // stream just accounts for the marking traffic up the root path. The
   // tree is taken from the message's context — the variable may already
@@ -615,7 +617,7 @@ void AccessTreeStrategy::onMark(AtBody&& b) {
       ctxs_[static_cast<std::size_t>(b.ctx)].tree->parent(node);
   if (parent < 0) return;
   b.fromNode = node;
-  forward(std::move(b), node, parent, 0);
+  forward(std::move(b), here, parent, 0);
 }
 
 void AccessTreeStrategy::onCopyDrop(AtBody&& b) {
@@ -649,16 +651,22 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
   //  (a) S is connected within the tree (unique node whose parent ∉ S), and
   //  (b) exactly one copy-edge leaves S — the rest of the component stays
   //      connected, attached at that edge.
-  std::vector<std::int32_t> hosted;
-  for (const auto& [n, st] : vit->second.nodes)
-    if (st.kind == TreeState::Kind::Copy && hostOf(n, x) == p) hosted.push_back(n);
+  // A tree node's host is a member of its cluster, so S lies on p's
+  // leaf-to-root chain (Placement.HostsLieOnTheirLeafChain).
+  const net::ClusterTree& t = *ctxs_[static_cast<std::size_t>(vit->second.ctx)].tree;
+  support::SmallVec<std::int32_t, 32> hosted;
+  for (std::int32_t a = t.leafOf(p); a >= 0; a = t.parent(a)) {
+    const auto nit = vit->second.nodes.find(a);
+    if (nit != vit->second.nodes.end() && nit->second.kind == TreeState::Kind::Copy &&
+        t.hostOf(a, x, params_.embedding, params_.seed) == p)
+      hosted.push_back(a);
+  }
   if (hosted.empty() || static_cast<int>(hosted.size()) != e->copyCount) return false;
 
   auto inS = [&](std::int32_t n) {
     return std::find(hosted.begin(), hosted.end(), n) != hosted.end();
   };
 
-  const net::ClusterTree& t = treeOf(x);
   int topsInS = 0;
   int boundaryEdges = 0;
   std::int32_t boundaryInside = -1, boundaryOutside = -1;
@@ -737,7 +745,7 @@ bool AccessTreeStrategy::tryEvict(NodeId p, VarId x) {
   drop.var = x;
   drop.fromNode = boundaryInside;
   drop.ctx = vit->second.ctx;
-  forward(std::move(drop), boundaryInside, boundaryOutside, 0);
+  forward(std::move(drop), p, boundaryOutside, 0);
   for (std::int32_t s : hosted) eraseIfDefault(x, s);
   return true;
 }
@@ -839,7 +847,7 @@ void AccessTreeStrategy::repairVar(VarId x, NodeId p) {
   std::vector<NodeId> hosts;
   for (std::int32_t n : copies) {
     hosts.push_back(hostOf(n, x));
-    clearCopy(x, n);
+    clearCopy(x, hosts.back());
     hintCopyDied(x, n);
   }
   vs.nodes.clear();
@@ -960,7 +968,7 @@ void AccessTreeStrategy::migrateVar(VarId x) {
     if (st.kind == TreeState::Kind::Copy) copies.push_back(n);
   std::sort(copies.begin(), copies.end());
   for (std::int32_t n : copies) {
-    clearCopy(x, n);
+    clearCopy(x, hostOf(n, x));
     hintCopyDied(x, n);
   }
   vs.nodes.clear();

@@ -197,22 +197,27 @@ class AccessTreeStrategy final : public Strategy {
   };
 
   // --- protocol engine ---
-  void onClimb(AtBody&& b);
-  void onData(AtBody&& b);
-  void onInval(AtBody&& b);
-  void onInvalAck(AtBody&& b);
-  void onMark(AtBody&& b);
+  // A message addressed to tree node `atNode` is delivered to that node's
+  // host, so every handler below runs at `here` == hostOf(atNode) on the
+  // message's context: it sends from `here` and keeps its state in
+  // `here`'s memory module without resolving the host again.
+  void onClimb(AtBody&& b, NodeId here);
+  void onData(AtBody&& b, NodeId here);
+  void onInval(AtBody&& b, NodeId here);
+  void onInvalAck(AtBody&& b, NodeId here);
+  void onMark(AtBody&& b, NodeId here);
   void onCopyDrop(AtBody&& b);
 
-  void serveAt(std::int32_t node, AtBody&& b);
-  void startInvalidation(std::int32_t uNode, AtBody&& b);
-  void finishWrite(VarState& vs, InvalCoord&& c);
+  void serveAt(std::int32_t node, AtBody&& b, NodeId here);
+  void startInvalidation(std::int32_t uNode, AtBody&& b, NodeId here);
+  void finishWrite(VarState& vs, InvalCoord&& c, NodeId here);
   void sendData(VarId x, std::uint64_t txn, NodeId requester, bool isWrite, Value v,
-                std::vector<std::int32_t> path);
+                std::vector<std::int32_t> path, NodeId here);
   void depositCopy(VarId x, std::int32_t node, const Value& v,
-                   std::int32_t towardServer, std::int32_t towardRequester);
-  void forward(AtBody&& b, std::int32_t fromTreeNode, std::int32_t toTreeNode,
-               std::uint64_t payloadBytes);
+                   std::int32_t towardServer, std::int32_t towardRequester, NodeId here);
+  /// Send `b` from processor `src` (the host of the sending tree node) to
+  /// tree node `toTreeNode` of the message's context.
+  void forward(AtBody&& b, NodeId src, std::int32_t toTreeNode, std::uint64_t payloadBytes);
   void maybeEvictAt(NodeId p);
 
   // --- state helpers ---
@@ -229,7 +234,8 @@ class AccessTreeStrategy final : public Strategy {
   bool isParentOf(VarId x, std::int32_t parent, std::int32_t child) const;
   std::uint32_t childBit(VarId x, std::int32_t child) const;
   int copyNeighborCount(VarId x, std::int32_t node) const;
-  void clearCopy(VarId x, std::int32_t node);
+  /// Drop one tree node's copy of `x` from its host's memory module.
+  void clearCopy(VarId x, NodeId host);
   void eraseIfDefault(VarId x, std::int32_t node);
   /// Install the one-copy component at `owner`'s leaf and mark the root
   /// path — shared by free registration and crash repair.

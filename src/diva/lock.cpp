@@ -104,35 +104,39 @@ sim::Task<void> TreeLockService::release(NodeId p, VarId lock) {
 
 void TreeLockService::handleMessage(net::Message&& msg) {
   Body b = msg.take<Body>();
+  const NodeId here = msg.dst;
+#ifndef NDEBUG
+  DIVA_CHECK_MSG(here == hostOf(b.atNode, b.lock),
+                 "lock message for tree node " << b.atNode << " delivered off its host");
+#endif
   switch (b.k) {
     case Body::K::Request:
-      onRequest(b.lock, b.atNode, b.fromNode);
+      onRequest(b.lock, b.atNode, b.fromNode, here);
       return;
     case Body::K::Token:
-      onToken(b.lock, b.atNode);
+      onToken(b.lock, b.atNode, here);
       return;
     case Body::K::Release: {
       NodeState& st = stateOf(b.lock, b.atNode);
       DIVA_CHECK_MSG(st.holderDir == kSelf && st.inUse, "release without holding");
       st.inUse = false;
-      grantNext(b.lock, b.atNode);
+      grantNext(b.lock, b.atNode, here);
       return;
     }
   }
 }
 
-void TreeLockService::send(VarId lock, std::int32_t fromNode, std::int32_t toNode,
-                           Body&& b) {
+void TreeLockService::send(VarId lock, NodeId src, std::int32_t toNode, Body&& b) {
   b.atNode = toNode;
-  net_.post(net::Message{hostOf(fromNode, lock), hostOf(toNode, lock),
-                         net::kLockChannel, 0, std::move(b)});
+  net_.post(net::Message{src, hostOf(toNode, lock), net::kLockChannel, 0, std::move(b)});
 }
 
-void TreeLockService::onRequest(VarId lock, std::int32_t node, std::int32_t from) {
+void TreeLockService::onRequest(VarId lock, std::int32_t node, std::int32_t from,
+                                NodeId here) {
   NodeState& st = stateOf(lock, node);
   st.reqQ.push_back(from);
   if (st.holderDir == kSelf) {
-    if (!st.inUse) grantNext(lock, node);
+    if (!st.inUse) grantNext(lock, node, here);
     return;
   }
   if (!st.asked) {
@@ -141,18 +145,18 @@ void TreeLockService::onRequest(VarId lock, std::int32_t node, std::int32_t from
     b.k = Body::K::Request;
     b.lock = lock;
     b.fromNode = node;
-    send(lock, node, st.holderDir, std::move(b));
+    send(lock, here, st.holderDir, std::move(b));
   }
 }
 
-void TreeLockService::onToken(VarId lock, std::int32_t node) {
+void TreeLockService::onToken(VarId lock, std::int32_t node, NodeId here) {
   NodeState& st = stateOf(lock, node);
   st.asked = false;
   st.holderDir = kSelf;
-  grantNext(lock, node);
+  grantNext(lock, node, here);
 }
 
-void TreeLockService::grantNext(VarId lock, std::int32_t node) {
+void TreeLockService::grantNext(VarId lock, std::int32_t node, NodeId here) {
   NodeState& st = stateOf(lock, node);
   DIVA_CHECK(st.holderDir == kSelf && !st.inUse);
   if (st.reqQ.empty()) return;
@@ -173,14 +177,14 @@ void TreeLockService::grantNext(VarId lock, std::int32_t node) {
   Body tok;
   tok.k = Body::K::Token;
   tok.lock = lock;
-  send(lock, node, next, std::move(tok));
+  send(lock, here, next, std::move(tok));
   if (!st.reqQ.empty()) {
     st.asked = true;
     Body req;
     req.k = Body::K::Request;
     req.lock = lock;
     req.fromNode = node;
-    send(lock, node, next, std::move(req));
+    send(lock, here, next, std::move(req));
   }
 }
 

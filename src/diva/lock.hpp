@@ -75,10 +75,13 @@ class TreeLockService final : public LockService {
 
   NodeState& stateOf(VarId lock, std::int32_t node);
   std::int32_t defaultHolderDir(VarId lock, std::int32_t node) const;
-  void onRequest(VarId lock, std::int32_t node, std::int32_t from);
-  void onToken(VarId lock, std::int32_t node);
-  void grantNext(VarId lock, std::int32_t node);
-  void send(VarId lock, std::int32_t fromNode, std::int32_t toNode, Body&& b);
+  // A message for tree node `node` is delivered to that node's host, so
+  // these handlers run, and send, at `here` == hostOf(node).
+  void onRequest(VarId lock, std::int32_t node, std::int32_t from, NodeId here);
+  void onToken(VarId lock, std::int32_t node, NodeId here);
+  void grantNext(VarId lock, std::int32_t node, NodeId here);
+  /// Send `b` from processor `src` to tree node `toNode`'s host.
+  void send(VarId lock, NodeId src, std::int32_t toNode, Body&& b);
   NodeId hostOf(std::int32_t node, VarId lock) const;
 
   net::Network& net_;

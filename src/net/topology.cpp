@@ -146,16 +146,19 @@ NodeId ClusterTree::hostOf(int treeNode, std::uint64_t varKey, EmbeddingKind kin
     for (; nodes_[top].parent >= 0; top = nodes_[top].parent) chain[len++] = top;
     key = support::hashCombine(seed, varKey);
   }
+  // Every index is below the root's member count, so the reductions down
+  // the chain run in 32 bits.
   const Grid& from = extent_[top].grid;
-  std::uint64_t row = support::hashBelow(key, static_cast<std::uint64_t>(from.rows));
-  std::uint64_t col = support::hashBelow(support::hashCombine(key, 0x5eedull),
-                                         static_cast<std::uint64_t>(from.cols));
+  auto row = static_cast<std::uint32_t>(
+      support::hashBelow(key, static_cast<std::uint64_t>(from.rows)));
+  auto col = static_cast<std::uint32_t>(support::hashBelow(
+      support::hashCombine(key, 0x5eedull), static_cast<std::uint64_t>(from.cols)));
   while (len > 0) {
     const Grid& g = extent_[chain[--len]].grid;
-    row %= static_cast<std::uint64_t>(g.rows);
-    col %= static_cast<std::uint64_t>(g.cols);
+    row %= static_cast<std::uint32_t>(g.rows);
+    col %= static_cast<std::uint32_t>(g.cols);
   }
-  return members_[at.begin + row * static_cast<std::uint64_t>(at.grid.cols) + col];
+  return members_[at.begin + static_cast<std::size_t>(row) * at.grid.cols + col];
 }
 
 int ClusterTree::childToward(int treeNode, NodeId p) const {

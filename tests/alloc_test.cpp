@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "diva/machine.hpp"
+#include "diva/runtime.hpp"
 #include "net/graph_topology.hpp"
 #include "obs/tracer.hpp"
 #include "serve/latency_histogram.hpp"
@@ -382,6 +383,52 @@ TEST(Alloc, LatencyHistogramRecordingNeverAllocates) {
   (void)h.quantile(1.0);
   other.merge(h);
   EXPECT_EQ(allocCount(), before) << "latency recording allocated";
+}
+
+// Replacement on a warmed bounded-cache access-tree machine: every
+// over-capacity deposit offers LRU candidates to tryEvict until one is
+// dropped, and most offers are refused (interior or last copies). A
+// refused check reads tree state only, so it must not touch the heap.
+TEST(Alloc, RejectedEvictionChecksDoNotAllocate) {
+  Machine m(8, 8);
+  RuntimeConfig cfg = RuntimeConfig::accessTree(4, 1);
+  cfg.cacheCapacityBytes = 4 * 64;
+  Runtime rt(m, cfg);
+  const NodeId procs = static_cast<NodeId>(m.numProcs());
+  std::vector<VarId> vars;
+  for (int i = 0; i < 32; ++i)
+    vars.push_back(rt.createVarFree(static_cast<NodeId>((i * 7 + 3) % procs), makeRawValue(64)));
+  for (NodeId p = 0; p < procs; ++p) {
+    sim::spawn([](Runtime& r, NodeId self, const std::vector<VarId>& vs) -> sim::Task<> {
+      for (std::size_t i = 0; i < 8; ++i)
+        (void)co_await r.read(self, vs[(static_cast<std::size_t>(self) * 5 + i * 3) % vs.size()]);
+    }(rt, p, vars));
+  }
+  m.run();  // warm-up: components of several copies, caches at capacity
+  ASSERT_GT(m.stats.ops.evictions, 0u) << "warm-up never reached the capacity bound";
+
+  // Every cached (processor, variable) pair, listed before measuring.
+  std::vector<std::pair<NodeId, VarId>> candidates;
+  for (NodeId p = 0; p < procs; ++p) {
+    rt.cacheOf(p).scanLru([&](VarId x, NodeCache::Entry&) {
+      candidates.emplace_back(p, x);
+      return false;
+    });
+  }
+  int rejected = 0;
+  int allocating = 0;
+  for (const auto& [p, x] : candidates) {
+    const std::uint64_t before = allocCount();
+    const bool evicted = rt.strategy().tryEvict(p, x);
+    const std::uint64_t allocs = allocCount() - before;
+    if (!evicted) {
+      ++rejected;
+      if (allocs != 0) ++allocating;
+    }
+  }
+  ASSERT_GT(rejected, 0) << "no eviction check was refused";
+  EXPECT_EQ(allocating, 0) << allocating << " of " << rejected
+                           << " refused eviction checks allocated";
 }
 
 TEST(Alloc, TeardownWithPendingEventsLeaksNothing) {

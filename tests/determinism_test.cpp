@@ -15,6 +15,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdio>
 #include <vector>
 
 #include "diva/machine.hpp"
@@ -37,13 +38,14 @@ std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
-/// Runs the reference workload on `spec` and returns the delivery-trace
-/// hash: every processor does seeded compute/read/write rounds separated
-/// by barriers, so the trace covers the data-management protocol, the
-/// barrier service and the full message pipeline.
-std::uint64_t traceHash(const net::TopologySpec& spec) {
-  Machine m(spec);
-  Runtime rt(m, RuntimeConfig::accessTree(4, 1, /*seed=*/42).on(spec));
+/// Runs the reference workload on `spec` under `cfg` and returns the
+/// delivery-trace hash: every processor does `rounds` seeded
+/// compute/read/write rounds over `numVars` variables, separated by
+/// barriers, so the trace covers the data-management protocol, the
+/// barrier service and the full message pipeline. `m` is left holding
+/// the run's statistics.
+std::uint64_t traceHash(Machine& m, const RuntimeConfig& cfg, int numVars, int rounds) {
+  Runtime rt(m, cfg);
   std::uint64_t hash = 14695981039346656037ull;  // FNV-1a offset basis
   m.net.setDeliveryProbe([&hash](sim::Time t, NodeId node, net::Channel ch) {
     hash = fnv1a(hash, std::bit_cast<std::uint64_t>(t));
@@ -53,15 +55,16 @@ std::uint64_t traceHash(const net::TopologySpec& spec) {
 
   const NodeId procs = static_cast<NodeId>(m.numProcs());
   std::vector<VarId> vars;
-  for (int i = 0; i < 4; ++i) {
+  for (int i = 0; i < numVars; ++i) {
     vars.push_back(rt.createVarFree(static_cast<NodeId>((i * 7 + 3) % procs),
                                     makeValue<std::int64_t>(i)));
   }
   for (NodeId p = 0; p < procs; ++p) {
-    sim::spawn([](Machine& mm, Runtime& r, NodeId self, std::vector<VarId>& vs) -> Task<> {
+    sim::spawn([](Machine& mm, Runtime& r, NodeId self, std::vector<VarId>& vs,
+                  int rounds) -> Task<> {
       const NodeId procs = static_cast<NodeId>(mm.numProcs());
       support::SplitMix64 rng(support::hashCombine(99, static_cast<std::uint64_t>(self)));
-      for (int round = 0; round < 4; ++round) {
+      for (int round = 0; round < rounds; ++round) {
         co_await mm.net.compute(self, rng.uniform(0.0, 300.0));
         const VarId v = vs[rng.below(vs.size())];
         // Exactly one writer per round (concurrent writes to a variable
@@ -74,11 +77,16 @@ std::uint64_t traceHash(const net::TopologySpec& spec) {
         }
         co_await r.barrier(self);
       }
-    }(m, rt, p, vars));
+    }(m, rt, p, vars, rounds));
   }
   m.run();
   rt.checkAllInvariants();
   return hash;
+}
+
+std::uint64_t traceHash(const net::TopologySpec& spec) {
+  Machine m(spec);
+  return traceHash(m, RuntimeConfig::accessTree(4, 1, /*seed=*/42).on(spec), 4, 4);
 }
 
 TEST(DeterminismGolden, MeshEventTraceMatchesCommittedHash) {
@@ -138,6 +146,44 @@ TEST(DeterminismGolden, OpenLoopScenarioTraceMatchesCommittedHash) {
   const std::uint64_t kGolden = 0x56f64c3f9578eeeeull;
   EXPECT_EQ(h, kGolden) << "openloop scenario trace hash changed: 0x" << std::hex << h
                         << " — arrival generation or the serving driver moved";
+}
+
+TEST(DeterminismGolden, BoundedCacheEvictionTracesMatchCommittedHashes) {
+  // The reference workload over 24 eight-byte variables with room for
+  // three copies per processor: replacement runs constantly, so which
+  // copy an eviction drops (and the CopyDrop it sends) is part of the
+  // trace. Pinned per access-tree variant and shape, with the eviction
+  // count alongside.
+  struct Case {
+    const char* name;
+    net::TopologySpec spec;
+    int arity;
+    int leafSize;
+    std::uint64_t golden;
+    std::uint64_t evictions;
+  };
+  const net::TopologySpec mesh = net::TopologySpec::mesh2d(8, 8);
+  const net::TopologySpec rr = net::TopologySpec::graph(net::randomRegularGraph(64, 4, 1));
+  const Case cases[] = {
+      {"mesh 2-ary", mesh, 2, 1, 0x1adb74fa6ce89dcfull, 420},
+      {"mesh 4-ary", mesh, 4, 1, 0x8b35ad204d0eeba5ull, 317},
+      {"mesh 4-16-ary", mesh, 4, 16, 0xa0ff61068e56597aull, 210},
+      {"rr64 2-ary", rr, 2, 1, 0x69ab67fa8a452c18ull, 393},
+      {"rr64 4-ary", rr, 4, 1, 0x1d0fee7fc185df12ull, 348},
+      {"rr64 4-16-ary", rr, 4, 16, 0x73780b2bdbbebaa7ull, 212},
+  };
+  for (const Case& c : cases) {
+    Machine m(c.spec);
+    RuntimeConfig cfg = RuntimeConfig::accessTree(c.arity, c.leafSize, /*seed=*/42).on(c.spec);
+    cfg.cacheCapacityBytes = 3 * sizeof(std::int64_t);
+    const std::uint64_t h = traceHash(m, cfg, 24, 6);
+    std::printf("[golden] %s 0x%016llxull evictions %llu\n", c.name,
+                static_cast<unsigned long long>(h),
+                static_cast<unsigned long long>(m.stats.ops.evictions));
+    EXPECT_EQ(h, c.golden) << c.name << " bounded-cache trace hash changed: 0x" << std::hex
+                           << h << " — replacement or the simulated model moved";
+    EXPECT_EQ(m.stats.ops.evictions, c.evictions) << c.name;
+  }
 }
 
 TEST(DeterminismGolden, TraceHashIsRunToRunStable) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "net/graph_topology.hpp"
+#include "net/hier_routing.hpp"
 #include "net/member_graph.hpp"
 #include "net/topology.hpp"
 
@@ -94,6 +95,42 @@ TEST(Placement, TreeShapesMatchGoldenFingerprint) {
   std::printf("[fingerprint] tree shape 0x%016llxull\n",
               static_cast<unsigned long long>(hash));
   EXPECT_EQ(hash, 0x7dc43fba77b71f59ull);
+}
+
+TEST(Placement, HostsLieOnTheirLeafChain) {
+  // A tree node's host is a member of its cluster, so the node lies on
+  // the host's leaf-to-root chain. AccessTreeStrategy::tryEvict finds the
+  // nodes a processor hosts by walking that one chain; this pins the
+  // invariant it relies on, here also on a hierarchical graph that lost
+  // a node.
+  std::vector<std::unique_ptr<net::Topology>> topos = shapes();
+  const net::HierGraphTopology hier(net::randomRegularGraph(512, 4, 3));
+  net::MemberGraph shrunk(hier);
+  shrunk.removeNode(17, 0);
+  std::unique_ptr<net::Topology> hierShrunk = hier.withGraph(shrunk.graph());
+  ASSERT_NE(hierShrunk, nullptr);
+  topos.push_back(std::move(hierShrunk));
+
+  std::uint64_t checked = 0;
+  for (std::size_t t = 0; t < topos.size(); ++t) {
+    for (const net::DecompParams& params : kParams) {
+      const auto tree = topos[t]->decompose(params);
+      for (const auto kind : {net::EmbeddingKind::Regular, net::EmbeddingKind::Random})
+        for (const std::uint64_t seed : {1ull, 42ull})
+          for (int n = 0; n < tree->numNodes(); ++n)
+            for (std::uint64_t var = 0; var < 256; ++var) {
+              const net::NodeId host = tree->hostOf(n, var, kind, seed);
+              int a = tree->leafOf(host);
+              while (a >= 0 && a != n) a = tree->parent(a);
+              ASSERT_EQ(a, n) << "shape " << t << " arity " << params.arity
+                              << " leafSize " << params.leafSize << " seed " << seed
+                              << ": tree node " << n << " of variable " << var
+                              << " is hosted at " << host << ", off its leaf chain";
+              ++checked;
+            }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 }  // namespace
